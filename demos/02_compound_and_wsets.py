@@ -9,7 +9,13 @@ the index pairs is chosen.
 import numpy as np
 
 from signspectra.exterior import compound2, verify_eigenvalue_products, w_matrix
-from signspectra.wsets import build_w_hat, canonical_m, enumerate_w_candidates
+from signspectra.signsym import sign_constraint_graph
+from signspectra.wsets import (
+    build_w_hat,
+    canonical_m,
+    enumerate_w_candidates,
+    find_transitive_w,
+)
 
 rng = np.random.default_rng(7)
 a = rng.integers(-3, 4, size=(4, 4)).astype(float)
@@ -44,3 +50,9 @@ for i in range(5):
 enum = enumerate_w_candidates(cycle)
 print("\n5-cycle: unique W candidates =", len(enum.candidates),
       "| transitive exists =", enum.exists_transitive)
+
+# find_transitive_w answers the same question without listing candidates,
+# so a 41-cycle with 2^21 certificate pairs is decided at once.
+big = np.roll(np.eye(41), 1, axis=1)
+graphs = sign_constraint_graph(big), sign_constraint_graph(compound2(big))
+print("41-cycle: transitive exists =", find_transitive_w(*graphs) is not None)

@@ -69,6 +69,7 @@ _EXPORTS = {
     "is_transitive": "wsets",
     "build_w_hat": "wsets",
     "enumerate_w_candidates": "wsets",
+    "find_transitive_w": "wsets",
     "Spectrum": "spectral",
     "eigenvalues": "spectral",
     "peripheral_spectrum": "spectral",

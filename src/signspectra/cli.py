@@ -266,16 +266,10 @@ def cmd_wsets(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .signsym import TooManyCertificatesError
     from .spectral import classify, counterexample_bundle
 
     m, _ = read_matrix(args.path, args.format)
-    try:
-        c = classify(
-            m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol, cap=args.cap
-        )
-    except TooManyCertificatesError as exc:
-        raise CliInputError(str(exc)) from exc
+    c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
     _emit_json(_spectral_report(c))
     if not c.verified:
         sys.stderr.write(json.dumps(counterexample_bundle(m, c), indent=2) + "\n")
@@ -355,12 +349,7 @@ def cmd_analyze(args) -> int:
                 "candidates": listed,
             }
 
-    try:
-        c = classify(
-            m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol, cap=args.cap
-        )
-    except TooManyCertificatesError as exc:
-        raise CliInputError(str(exc)) from exc
+    c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
 
     classification = _spectral_report(c)
     classification["peripheral"]["values"] = _complex_list(c.peripheral.values)
@@ -486,7 +475,8 @@ def build_parser() -> _Parser:
             p.add_argument("--rel-tol", type=float, default=1e-6)
             p.add_argument("--peripheral-tol", type=float, default=1e-6)
         if cap:
-            p.add_argument("--cap", type=int, default=2**16)
+            p.add_argument("--cap", type=int, default=2**16,
+                           help="most (J, Jt) combinations to list (default: 65536)")
         p.set_defaults(func=func)
         return p
 
@@ -498,7 +488,7 @@ def build_parser() -> _Parser:
     add_matrix_command("wsets", cmd_wsets, "candidate W sets and transitivity",
                        cap=True)
     add_matrix_command("classify", cmd_classify,
-                       "peripheral spectrum classification", tolerances=True, cap=True)
+                       "peripheral spectrum classification", tolerances=True)
 
     p_gen = sub.add_parser("gen", help="generate a matrix from a JSON spec")
     p_gen.add_argument("spec", help="inline JSON or a path to a JSON file")

@@ -90,6 +90,29 @@ class SignConstraintGraph:
     coloring: tuple[int, ...] | None
     odd_cycle: tuple[int, ...] | None
 
+    def require_consistent(self) -> None:
+        """Raise NotSignSymmetricError, carrying the odd cycle, unless the
+        side constraints are consistent."""
+        if not self.consistent:
+            raise NotSignSymmetricError(
+                f"matrix is not sign-symmetric; odd constraint cycle {self.odd_cycle}",
+                self.odd_cycle,
+            )
+
+    def j_sets(self) -> list[frozenset[int]]:
+        """All 2^c valid J sets of a consistent graph, in the order of
+        `enumerate_j_sets`."""
+        self.require_consistent()
+        assert self.coloring is not None
+        out = []
+        for mask in range(2 ** len(self.components)):
+            j: set[int] = set()
+            for k, comp in enumerate(self.components):
+                flip = (mask >> k) & 1
+                j.update(i for i in comp if self.coloring[i - 1] ^ flip == 1)
+            out.append(frozenset(j))
+        return out
+
 
 def sign_constraint_graph(a) -> SignConstraintGraph:
     """Build and 2-color the side-constraint graph of a matrix."""
@@ -199,27 +222,12 @@ def enumerate_j_sets(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[frozenset[in
     NotSignSymmetricError for inputs with no certificate and
     TooManyCertificatesError when 2^c exceeds `cap`.
     """
-    m = as_matrix(a)
-    g = sign_constraint_graph(m)
-    if not g.consistent:
-        assert g.odd_cycle is not None
-        raise NotSignSymmetricError(
-            f"matrix is not sign-symmetric; odd constraint cycle {g.odd_cycle}",
-            g.odd_cycle,
-        )
-    assert g.coloring is not None
+    g = sign_constraint_graph(a)
+    g.require_consistent()
     c = len(g.components)
     if 2**c > cap:
         raise TooManyCertificatesError(f"2^{c} certificates exceed the cap {cap}")
-    coloring = g.coloring
-    out = []
-    for mask in range(2**c):
-        j: set[int] = set()
-        for k, comp in enumerate(g.components):
-            flip = (mask >> k) & 1
-            j.update(i for i in comp if coloring[i - 1] ^ flip == 1)
-        out.append(frozenset(j))
-    return out
+    return g.j_sets()
 
 
 def enumerate_certificates(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[JCertificate]:

@@ -39,8 +39,10 @@ from scipy.optimize import linear_sum_assignment
 from .core import as_matrix
 from .digraph import frobenius_form, imprimitivity_index, is_irreducible
 from .exterior import compound2
-from .signsym import NotSignSymmetric, detect
-from .wsets import DEFAULT_CANDIDATE_CAP, enumerate_w_candidates
+from .signsym import sign_constraint_graph
+# enumerate_w_candidates stays importable from here for
+# benchmark/test_benchmark.py, which checks tracing against this module.
+from .wsets import enumerate_w_candidates, find_transitive_w  # noqa: F401
 
 __all__ = [
     "Spectrum",
@@ -324,14 +326,15 @@ def classify(
     a,
     rel_tol: float = DEFAULT_REL_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
-    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> Classification:
     """Route a matrix through the structural decision tree and verify every
     prediction of the selected leaf against the computed spectrum.
 
-    `rel_tol` scales eigenvalue matching, `peripheral_tol` the modulus band
-    that delimits the peripheral group, and `cap` bounds the candidate W
-    enumeration (TooManyCertificatesError propagates when exceeded).
+    `rel_tol` scales eigenvalue matching and `peripheral_tol` the modulus
+    band that delimits the peripheral group.  The sign-constraint graphs of
+    the matrix and of its second compound are built once each; whether a
+    transitive candidate W set exists is decided by `find_transitive_w`,
+    which lists no candidates, so no certificate count limits the input.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -340,11 +343,11 @@ def classify(
     peripheral = peripheral_spectrum(spec, peripheral_tol)
     tol_eig = rel_tol * max(1.0, rho)
 
-    res_a = detect(m)
-    if isinstance(res_a, NotSignSymmetric):
+    graph_a = sign_constraint_graph(m)
+    if not graph_a.consistent:
         return _none_classification(
             m, spec, peripheral,
-            f"matrix is not sign-symmetric: odd constraint cycle {res_a.odd_cycle}",
+            f"matrix is not sign-symmetric: odd constraint cycle {graph_a.odd_cycle}",
             is_irreducible(m), None, rel_tol, peripheral_tol,
         )
 
@@ -381,13 +384,13 @@ def classify(
         )
 
     c2 = compound2(m)
-    res_c = detect(c2)
+    graph_c = sign_constraint_graph(c2)
     irr_a = is_irreducible(m)
-    if isinstance(res_c, NotSignSymmetric):
+    if not graph_c.consistent:
         return _none_classification(
             m, spec, peripheral,
             "second compound is not sign-symmetric: odd constraint cycle"
-            f" {res_c.odd_cycle}",
+            f" {graph_c.odd_cycle}",
             irr_a, None, rel_tol, peripheral_tol,
         )
 
@@ -421,8 +424,7 @@ def classify(
         h_c = None
 
     if irr_c:
-        enumeration = enumerate_w_candidates(m, cap=cap)
-        if enumeration.exists_transitive:
+        if find_transitive_w(graph_a, graph_c) is not None:
             return _classify_t91(
                 m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_tol
             )
@@ -434,8 +436,7 @@ def classify(
         return _classify_t10_t81(
             m, spec, peripheral, "T10", h_a, None, tol_eig, rel_tol, peripheral_tol
         )
-    enumeration = enumerate_w_candidates(m, cap=cap)
-    if enumeration.exists_transitive:
+    if find_transitive_w(graph_a, graph_c) is not None:
         return _classify_t10_t81(
             m, spec, peripheral, "T8.1", h_a, True, tol_eig, rel_tol, peripheral_tol
         )

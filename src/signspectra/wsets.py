@@ -6,6 +6,10 @@ to it and exactly one of (i, j), (j, i) belongs to it for each i != j.  It
 fixes an orientation for every unordered index pair and thereby a basis
 ordering for minor-based matrices.  A transitive W set is exactly a total
 order on {1..n}.
+
+`find_transitive_w` decides whether the candidate construction yields a
+transitive W set without listing the candidates; `enumerate_w_candidates`
+lists them all.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import PairIndexer, Permutation, as_matrix, pair_count
+from .signsym import SignConstraintGraph, TooManyCertificatesError, sign_constraint_graph
 
 __all__ = [
     "WSet",
@@ -27,6 +32,7 @@ __all__ = [
     "WCandidate",
     "WCandidateEnumeration",
     "enumerate_w_candidates",
+    "find_transitive_w",
     "DEFAULT_CANDIDATE_CAP",
 ]
 
@@ -98,20 +104,23 @@ class TransitivityCheck:
 
 
 def is_transitive(w: WSet) -> TransitivityCheck:
-    """Test transitivity of a W set and extract the total order or a witness."""
+    """Test transitivity of a W set and extract the total order or a witness.
+
+    By Landau's score-sequence theorem a tournament is transitive exactly
+    when its out-degrees are distinct; with the diagonal counted, the row
+    sums of a total order are then n, n-1, ..., 1 from least to greatest.
+    """
     m = w.member
-    reach2 = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-    violations = reach2 & ~m
-    if violations.any():
-        i0, k0 = np.argwhere(violations)[0]
-        j0 = int(np.nonzero(m[i0] & m[:, k0])[0][0])
-        return TransitivityCheck(False, (int(i0) + 1, j0 + 1, int(k0) + 1), None)
-    # Row sums of a total order are n, n-1, ..., 1 from least to greatest.
     sigma = w.n + 1 - m.sum(axis=1)
-    order = Permutation(tuple(int(v) for v in sigma))
-    if not np.array_equal(m, sigma[:, None] <= sigma[None, :]):
-        raise AssertionError("transitive W set did not reconstruct from its order")
-    return TransitivityCheck(True, None, order)
+    if np.array_equal(np.sort(sigma), np.arange(1, w.n + 1)):
+        order = Permutation(tuple(int(v) for v in sigma))
+        if not np.array_equal(m, sigma[:, None] <= sigma[None, :]):
+            raise AssertionError("transitive W set did not reconstruct from its order")
+        return TransitivityCheck(True, None, order)
+    reach2 = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
+    i0, k0 = np.argwhere(reach2 & ~m)[0]
+    j0 = int(np.nonzero(m[i0] & m[:, k0])[0][0])
+    return TransitivityCheck(False, (int(i0) + 1, j0 + 1, int(k0) + 1), None)
 
 
 def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
@@ -172,24 +181,30 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
     its second compound, deduplicated as orientation sets.
 
     Requires both `a` and its second compound to be sign-symmetric; raises
-    NotSignSymmetricError otherwise and TooManyCertificatesError when the
-    number of (J, Jt) combinations exceeds `cap`.
+    NotSignSymmetricError otherwise and TooManyCertificatesError, before
+    listing any certificate, when the number of (J, Jt) combinations exceeds
+    `cap`.
     """
     from .exterior import compound2
-    from .signsym import TooManyCertificatesError, enumerate_j_sets
 
     m = as_matrix(a)
     n = m.shape[0]
-    j_sets = enumerate_j_sets(m, cap=cap)
-    if n == 1:
-        jt_sets = [frozenset()]  # no pairs, one trivial certificate
-    else:
-        jt_sets = enumerate_j_sets(compound2(m), cap=cap)
-    total = len(j_sets) * len(jt_sets)
+    graph_a = sign_constraint_graph(m)
+    graph_a.require_consistent()
+    components = len(graph_a.components)
+    graph_c = None
+    if n > 1:
+        graph_c = sign_constraint_graph(compound2(m))
+        graph_c.require_consistent()
+        components += len(graph_c.components)
+    total = 2**components
     if total > cap:
         raise TooManyCertificatesError(
             f"{total} candidate (J, Jt) combinations exceed the cap {cap}"
         )
+    j_sets = graph_a.j_sets()
+    # n = 1 has no pairs and one trivial pair-level certificate.
+    jt_sets = graph_c.j_sets() if graph_c else [frozenset()]
 
     by_key: dict[bytes, list[tuple[frozenset[int], frozenset[int]]]] = {}
     reps: dict[bytes, WSet] = {}
@@ -209,3 +224,237 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
         )
     exists = any(c.transitive for c in candidates)
     return WCandidateEnumeration(tuple(candidates), exists, len(j_sets), len(jt_sets))
+
+
+def find_transitive_w(
+    graph_a: SignConstraintGraph, graph_c: SignConstraintGraph
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Decide whether some certificate pair (J, Jt) builds a transitive W
+    set, without listing the pairs.
+
+    `graph_a` and `graph_c` are the consistent sign-constraint graphs of an
+    n x n matrix, n >= 2, and of its second compound.  Returns a pair
+    (J, Jt) from the families that `enumerate_w_candidates` combines whose
+    `build_w_hat` is transitive (checked before returning), or None when no
+    pair gives a transitive W set, so the answer is the enumeration's
+    `exists_transitive`.
+
+    Each sign component of the matrix carries a flip bit f and each one of
+    the compound a flip bit g.  With s_i = colour(i) ^ f and
+    t_p = colour(p) ^ g, pair p = (i, j) keeps its natural orientation
+    exactly when o_p = s_i ^ s_j ^ t_p, and triangle i < j < k is cyclic
+    exactly when o_ij, o_jk and not o_ik are all equal.  Transitivity is
+    thus one not-all-equal constraint per triangle over XOR expressions of
+    the flip bits.  Constraints in which two expressions coincide fold into
+    constants or GF(2) parity equations, solved by elimination; the rest are
+    searched by backtracking with unit propagation.
+    """
+    graph_a.require_consistent()
+    graph_c.require_consistent()
+    n = graph_a.n
+    if n < 2 or graph_c.n != pair_count(n):
+        raise ValueError(
+            "need the graphs of an n x n matrix, n >= 2, and of its"
+            f" C(n,2) x C(n,2) compound; got sizes {graph_a.n} and {graph_c.n}"
+        )
+    comp_a, colour_a = _component_arrays(graph_a)
+    comp_c, colour_c = _component_arrays(graph_c)
+    ca = len(graph_a.components)
+
+    # Variable k is f_k and variable ca + k is g_k.  A literal is an
+    # expression id, indexing `masks`, and a constant; each pair p = (i, j)
+    # starts with its own expression f_comp(i) ^ f_comp(j) ^ g_comp(p).
+    i, j = np.triu_indices(n, k=1)
+    masks = [
+        (1 << a) ^ (1 << b) ^ (1 << (ca + g))
+        for a, b, g in zip(comp_a[i].tolist(), comp_a[j].tolist(), comp_c.tolist())
+    ]
+    const = colour_a[i] ^ colour_a[j] ^ colour_c
+    lits = np.column_stack(_triangle_sides(n, i, j))
+    consts = const[lits]
+    consts[:, 2] ^= 1
+
+    # Complementing J leaves W unchanged and complementing Jt reverses it,
+    # so some transitive W set, if any exists, has f_0 = g_0 = 0.
+    parity = _ParitySystem()
+    parity.add(1, 0)
+    parity.add(1 << ca, 0)
+    while True:
+        reduced = [parity.reduce(mask) for mask in masks]
+        ids: dict[int, int] = {}
+        remap = np.array([ids.setdefault(mask, len(ids)) for mask, _ in reduced])
+        shift = np.array([c for _, c in reduced], dtype=consts.dtype)
+        consts = consts ^ shift[lits]
+        lits = remap[lits]
+        masks = list(ids)
+        folded = _fold_triangles(lits, consts)
+        if folded is None:
+            return None
+        lits, consts, equations = folded
+        rows = len(parity.rows)
+        for code in equations.tolist():
+            a, b = divmod(code >> 1, len(masks))
+            if not parity.add(masks[a] ^ masks[b], code & 1):
+                return None
+        if len(parity.rows) == rows:
+            break
+
+    values = _nae_search(masks, lits, consts)
+    if values is None:
+        return None
+    for pivot, (row, rhs) in parity.rows.items():
+        if (rhs ^ ((row ^ pivot) & values).bit_count()) & 1:
+            values |= pivot
+    flip = np.array([(values >> k) & 1 for k in range(ca + len(graph_c.components))])
+    j_set = frozenset((np.nonzero(colour_a ^ flip[comp_a])[0] + 1).tolist())
+    jt_set = frozenset((np.nonzero(colour_c ^ flip[ca + comp_c])[0] + 1).tolist())
+    if not is_transitive(build_w_hat(j_set, jt_set, n)).transitive:
+        raise AssertionError("constraint solution did not build a transitive W set")
+    return j_set, jt_set
+
+
+def _component_arrays(graph: SignConstraintGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Component number and colour of each index, 0-based."""
+    comp = np.empty(graph.n, dtype=np.int64)
+    for k, members in enumerate(graph.components):
+        comp[np.asarray(members) - 1] = k
+    return comp, np.asarray(graph.coloring, dtype=np.int8)
+
+
+def _triangle_sides(n: int, i: np.ndarray, j: np.ndarray):
+    """0-based lexicographic positions of the pairs ij, jk and ik of every
+    triangle i < j < k, given the pairs (i, j) in lexicographic order."""
+    width = n - 1 - j
+    ii = np.repeat(i, width)
+    jj = np.repeat(j, width)
+    start = np.repeat(np.cumsum(width) - width, width)
+    kk = jj + 1 + np.arange(ii.size) - start
+
+    def position(a, b):
+        return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+    return position(ii, jj), position(jj, kk), position(ii, kk)
+
+
+def _fold_triangles(lits: np.ndarray, consts: np.ndarray):
+    """Split not-all-equal constraints over literals (expression id, const).
+
+    A constraint in which two literals are the same expression with opposite
+    constants always holds.  With equal constants the third literal must
+    differ from them, a parity equation between two expressions; if the
+    third is the same expression too, no assignment satisfies it and None is
+    returned.  Otherwise returns the constraints whose three expressions are
+    distinct, and the distinct equations expression a ^ expression b = rhs
+    for a < b, each encoded as (a * expressions + b) * 2 + rhs.
+    """
+    same = [lits[:, 0] == lits[:, 1], lits[:, 0] == lits[:, 2], lits[:, 1] == lits[:, 2]]
+    differ = [consts[:, 0] != consts[:, 1], consts[:, 0] != consts[:, 2],
+              consts[:, 1] != consts[:, 2]]
+    holds = (same[0] & differ[0]) | (same[1] & differ[1]) | (same[2] & differ[2])
+    if (same[0] & same[1] & ~holds).any():
+        return None
+    paired = (same[0] | same[1] | same[2]) & ~holds
+    twin = np.where(same[2], 1, 0)[paired]
+    odd = np.where(same[0], 2, np.where(same[1], 1, 0))[paired]
+    rows = np.nonzero(paired)[0]
+    a = lits[rows, twin]
+    b = lits[rows, odd]
+    rhs = consts[rows, twin] ^ consts[rows, odd] ^ 1
+    expressions = int(lits.max()) + 1 if lits.size else 0
+    equations = np.unique(
+        (np.minimum(a, b) * expressions + np.maximum(a, b)) * 2 + rhs
+    )
+    rest = ~(same[0] | same[1] | same[2])
+    return lits[rest], consts[rest], equations
+
+
+class _ParitySystem:
+    """GF(2) equations over variables numbered by bit position, kept fully
+    reduced: each row holds its pivot (its lowest bit) and no other pivot."""
+
+    def __init__(self) -> None:
+        self.rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, rhs)
+        self.pivots = 0
+
+    def reduce(self, mask: int, rhs: int = 0) -> tuple[int, int]:
+        """Eliminate pivots: (mask . x) ^ rhs == (result mask . x) ^ result rhs."""
+        hit = mask & self.pivots
+        while hit:
+            pivot = hit & -hit
+            row, r = self.rows[pivot]
+            mask ^= row
+            rhs ^= r
+            hit ^= pivot
+        return mask, rhs
+
+    def add(self, mask: int, rhs: int) -> bool:
+        """Add the equation mask . x = rhs; False when it contradicts the
+        system."""
+        mask, rhs = self.reduce(mask, rhs)
+        if not mask:
+            return rhs == 0
+        pivot = mask & -mask
+        for q, (row, r) in self.rows.items():
+            if row & pivot:
+                self.rows[q] = (row ^ mask, r ^ rhs)
+        self.rows[pivot] = (mask, rhs)
+        self.pivots |= pivot
+        return True
+
+
+def _nae_search(masks: list[int], lits: np.ndarray, consts: np.ndarray) -> int | None:
+    """Backtracking with unit propagation over not-all-equal constraints on
+    literals (masks[id] . x) ^ const, branching first on the variables in
+    the most constraints.  Returns an assignment as a bit mask of the
+    variables that are set, or None when none satisfies them all."""
+    codes = {tuple(row) for row in np.sort(lits * 2 + consts, axis=1).tolist()}
+    clauses = [tuple((masks[c >> 1], c & 1) for c in row) for row in codes]
+    watch: dict[int, list[int]] = {}
+    for k, clause in enumerate(clauses):
+        union = clause[0][0] | clause[1][0] | clause[2][0]
+        while union:
+            bit = union & -union
+            watch.setdefault(bit, []).append(k)
+            union ^= bit
+    order = sorted(watch, key=lambda bit: -len(watch[bit]))
+    stack = [(0, 0, range(len(clauses)))]
+    while stack:
+        assigned, values, queue = stack.pop()
+        state = _propagate(clauses, watch, assigned, values, list(queue))
+        if state is None:
+            continue
+        assigned, values = state
+        bit = next((bit for bit in order if not bit & assigned), 0)
+        if not bit:
+            return values
+        stack.append((assigned | bit, values | bit, watch[bit]))
+        stack.append((assigned | bit, values, watch[bit]))
+    return None
+
+
+def _propagate(clauses, watch, assigned: int, values: int, queue: list[int]):
+    """Unit propagation: when two literals of a constraint are known and
+    equal, the third must differ; a third literal with one open variable
+    fixes it.  Returns (assigned, values), or None on a violated
+    constraint."""
+    while queue:
+        known = []
+        open_lits = []
+        for mask, const in clauses[queue.pop()]:
+            value = (const ^ (mask & values).bit_count()) & 1
+            free = mask & ~assigned
+            if free:
+                open_lits.append((free, value))
+            else:
+                known.append(value)
+        if len(known) == 3:
+            if known[0] == known[1] == known[2]:
+                return None
+        elif len(known) == 2 and known[0] == known[1]:
+            free, value = open_lits[0]
+            if not free & (free - 1):
+                assigned |= free
+                if value == known[0]:
+                    values |= free
+                queue.extend(watch[free])
+    return assigned, values

@@ -151,3 +151,28 @@ def hungarian_close(a, b, atol: float) -> bool:
     from signspectra.spectral import match_complex_multisets
 
     return match_complex_multisets(a, b, atol).ok
+
+
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Wrap the named functions in every signspectra module namespace that
+    holds them and return a dict counting the calls by name."""
+    import functools
+    import importlib
+
+    modules = [
+        importlib.import_module(f"signspectra.{name}")
+        for name in ("core", "exterior", "signsym", "digraph", "wsets", "spectral")
+    ]
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        @functools.wraps(original)
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ class TestAnalyze:
         assert data["sign_symmetry"]["compound"] is None
         assert data["imprimitivity"]["h"] == 1
         assert data["classification"]["theorem"] == "T10"
+
+    def test_listing_cap_leaves_classification_intact(self, run, tmp_path):
+        from signspectra.gen import cyclic_h
+
+        path = write_csv(tmp_path, cyclic_h(33, 33, seed=1))
+        start = time.perf_counter()
+        code, out, _ = run("analyze", path)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        data = json.loads(out)
+        assert "exceed the cap 65536" in data["w_candidates"]["error"]
+        assert data["classification"]["theorem"] == "T8.2"
+        assert data["classification"]["facts"]["exists_transitive"] is False
+        assert data["verified"] is True
 
     def test_conflicted_matrix_skips_w_section(self, run, tmp_path):
         path = write_csv(tmp_path, [[0.0, 1.0], [-1.0, 0.0]])

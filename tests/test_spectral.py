@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from signspectra.gen import reducible_blocks, scrambled, tp2
+from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.spectral import (
     Classification,
     Spectrum,
@@ -15,7 +16,7 @@ from signspectra.spectral import (
     second_eigenvalue_claims,
 )
 
-from helpers import EXAMPLE1, cycle_matrix
+from helpers import EXAMPLE1, count_calls, cycle_matrix
 
 
 class TestEigenvalues:
@@ -239,15 +240,49 @@ class TestClassifyRouting:
         assert c.rho_multiplicity == 1
         assert c.peripheral_count == 3
 
-    def test_t11_never_enumerates_certificates(self):
+    def test_t11_never_enumerates_certificates(self, monkeypatch):
         # 10 cycle blocks: the compound certificate count is astronomically
-        # large, so this only passes if the reducible route skips W sets.
+        # large, and the reducible route needs no W sets at all.
+        calls = count_calls(monkeypatch, "find_transitive_w", "enumerate_w_candidates")
         a = reducible_blocks([cycle_matrix(3)] * 10)
-        c = classify(a, cap=2)
+        c = classify(a)
+        assert calls == {"find_transitive_w": 0, "enumerate_w_candidates": 0}
         assert c.theorem == "T11"
         assert c.verified
         assert c.rho_multiplicity == 10
         assert c.peripheral_count == 30
+
+    @pytest.mark.parametrize("n, budget_s", [(33, 1.0), (41, 1.0), (77, 3.0)])
+    def test_large_odd_cycles_route_t82(self, n, budget_s):
+        # 2^(1 + (n-1)/2) certificate pairs: listing them is out of reach.
+        base = cyclic_h(n, n, seed=n)
+        for a in (base, scrambled(base, seed=n)):
+            start = time.perf_counter()
+            c = classify(a)
+            assert time.perf_counter() - start < budget_s
+            assert c.theorem == "T8.2"
+            assert c.verified
+            assert c.exists_transitive is False
+            assert c.peripheral_count == n
+
+    @pytest.mark.parametrize(
+        "a, theorem, rebuilt",
+        [(scrambled(EXAMPLE1, seed=4), "T8.2", 0), (tp2(4, seed=3), "T9.1", 1)],
+    )
+    def test_builds_each_structure_once(self, monkeypatch, a, theorem, rebuilt):
+        # A found transitive W set is rebuilt once, to check it.
+        calls = count_calls(
+            monkeypatch, "compound2", "sign_constraint_graph", "build_w_hat",
+            "enumerate_w_candidates",
+        )
+        c = classify(a)
+        assert c.theorem == theorem
+        assert calls == {
+            "compound2": 1,
+            "sign_constraint_graph": 2,
+            "build_w_hat": rebuilt,
+            "enumerate_w_candidates": 0,
+        }
 
     def test_sign_conflict_routes_none(self):
         c = classify(np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -1,21 +1,30 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signspectra.core import PairIndexer, pair_count
 from signspectra.exterior import compound2
-from signspectra.gen import scrambled
-from signspectra.signsym import TooManyCertificatesError
+from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, scrambled, tp2
+from signspectra.signsym import (
+    NotSignSymmetricError,
+    SignConstraintGraph,
+    TooManyCertificatesError,
+    enumerate_j_sets,
+    sign_constraint_graph,
+)
 from signspectra.wsets import (
     WSet,
     build_w_hat,
     canonical_m,
     enumerate_w_candidates,
+    find_transitive_w,
     is_transitive,
 )
 
-from helpers import EXAMPLE1, random_wset
+from helpers import EXAMPLE1, cycle_matrix, random_wset
 
 
 class TestWSet:
@@ -232,3 +241,133 @@ class TestEnumerateCandidates:
 
         enum = enumerate_w_candidates(a)
         assert enum.jt_count == len(enumerate_j_sets(compound2(a)))
+
+    def test_fails_fast_on_too_many_combinations(self):
+        # The 33-cycle has 2 x 2^16 combinations: the count alone decides.
+        start = time.perf_counter()
+        with pytest.raises(TooManyCertificatesError, match="131072"):
+            enumerate_w_candidates(cycle_matrix(33))
+        assert time.perf_counter() - start < 2.0
+
+
+CYCLIC_CELLS = [(n, h) for n in range(2, 13) for h in range(1, n + 1)]
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Small matrices from every family, optionally scrambled: cyclic_h
+    over every (n, h) with n <= 12, tp2, nonneg_irreducible with density,
+    and block diagonal or sparse inputs whose sign-constraint graph has
+    several components."""
+    seed = draw(st.integers(min_value=1, max_value=10**6))
+    kind = draw(st.sampled_from(["cyclic_h", "tp2", "nonneg_irreducible", "blocks", "sparse"]))
+    if kind == "cyclic_h":
+        n, h = draw(st.sampled_from(CYCLIC_CELLS))
+        a = cyclic_h(n, h, seed=seed)
+    elif kind == "tp2":
+        a = tp2(draw(st.integers(min_value=2, max_value=8)), seed=seed)
+    elif kind == "nonneg_irreducible":
+        n = draw(st.integers(min_value=2, max_value=10))
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+        a = nonneg_irreducible(n, density=density, seed=seed)
+    elif kind == "blocks":
+        cells = draw(st.lists(st.sampled_from(CYCLIC_CELLS[:10]), min_size=2, max_size=3))
+        a = reducible_blocks([cyclic_h(n, h, seed=seed + t) for t, (n, h) in enumerate(cells)])
+    else:
+        rng = np.random.default_rng(seed)
+        n = draw(st.integers(min_value=3, max_value=7))
+        a = np.where(rng.random((n, n)) < rng.uniform(0.1, 0.5), rng.uniform(0.5, 2.0, (n, n)), 0.0)
+    if draw(st.booleans()):
+        a = scrambled(a, seed=seed)
+    return a
+
+
+class TestFindTransitiveW:
+    @given(oracle_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, a):
+        graph_a = sign_constraint_graph(a)
+        graph_c = sign_constraint_graph(compound2(a))
+        try:
+            enum = enumerate_w_candidates(a, cap=2**12)
+        except NotSignSymmetricError:
+            with pytest.raises(NotSignSymmetricError):
+                find_transitive_w(graph_a, graph_c)
+            return
+        except TooManyCertificatesError:
+            assume(False)
+        found = find_transitive_w(graph_a, graph_c)
+        assert (found is not None) == enum.exists_transitive
+        if found is not None:
+            j_set, jt_set = found
+            assert j_set in enumerate_j_sets(a)
+            assert jt_set in enumerate_j_sets(compound2(a))
+            assert is_transitive(build_w_hat(j_set, jt_set, a.shape[0])).transitive
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration_on_any_component_structure(self, seed):
+        # Arbitrary partitions and colourings of {1..n} and of the pairs:
+        # more shapes than matrices produce, each checked against every
+        # certificate pair.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        graphs = []
+        for size, most in ((n, 4), (pair_count(n), 8)):
+            labels = rng.integers(0, int(rng.integers(1, most + 1)), size=size)
+            components = tuple(
+                tuple(int(v) + 1 for v in np.nonzero(labels == k)[0])
+                for k in np.unique(labels)
+            )
+            colouring = tuple(int(v) for v in rng.integers(0, 2, size=size))
+            graphs.append(SignConstraintGraph(size, True, components, colouring, None))
+        exists = any(
+            is_transitive(build_w_hat(j, jt, n)).transitive
+            for j in graphs[0].j_sets()
+            for jt in graphs[1].j_sets()
+        )
+        found = find_transitive_w(*graphs)
+        assert (found is not None) == exists
+        if found is not None:
+            assert found[0] in graphs[0].j_sets()
+            assert found[1] in graphs[1].j_sets()
+
+    def test_worked_example_has_none(self):
+        assert find_transitive_w(
+            sign_constraint_graph(EXAMPLE1), sign_constraint_graph(compound2(EXAMPLE1))
+        ) is None
+
+    def test_large_odd_cycle_has_none(self):
+        a = scrambled(cycle_matrix(41), seed=3)
+        graphs = sign_constraint_graph(a), sign_constraint_graph(compound2(a))
+        assert find_transitive_w(*graphs) is None
+
+    def test_rejects_mismatched_graphs(self):
+        with pytest.raises(ValueError, match="compound"):
+            find_transitive_w(sign_constraint_graph(EXAMPLE1), sign_constraint_graph(EXAMPLE1))
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_search_matches_exhaustive(self, seed):
+        # Inputs from matrices rarely leave an unsatisfiable remainder after
+        # folding, so the search is checked on its own, against trying
+        # every assignment.
+        from signspectra.wsets import _nae_search
+
+        rng = np.random.default_rng(seed)
+        nvars = int(rng.integers(1, 7))
+        masks = [int(v) for v in rng.integers(0, 2**nvars, size=int(rng.integers(1, 8)))]
+        lits = rng.integers(0, len(masks), size=(int(rng.integers(1, 14)), 3))
+        consts = rng.integers(0, 2, size=lits.shape)
+
+        def satisfied(x):
+            values = [
+                [(c + bin(masks[e] & x).count("1")) % 2 for e, c in zip(row, crow)]
+                for row, crow in zip(lits.tolist(), consts.tolist())
+            ]
+            return all(len(set(v)) > 1 for v in values)
+
+        found = _nae_search(masks, lits, consts)
+        assert (found is not None) == any(satisfied(x) for x in range(2**nvars))
+        if found is not None:
+            assert satisfied(found)
