@@ -292,9 +292,8 @@ def find_transitive_w(
             return None
         lits, consts, equations = folded
         rows = len(parity.rows)
-        for code in equations.tolist():
-            a, b = divmod(code >> 1, len(masks))
-            if not parity.add(masks[a] ^ masks[b], code & 1):
+        for a, b, rhs in equations.tolist():
+            if not parity.add(masks[a] ^ masks[b], rhs):
                 return None
         if len(parity.rows) == rows:
             break
@@ -345,7 +344,7 @@ def _fold_triangles(lits: np.ndarray, consts: np.ndarray):
     third is the same expression too, no assignment satisfies it and None is
     returned.  Otherwise returns the constraints whose three expressions are
     distinct, and the distinct equations expression a ^ expression b = rhs
-    for a < b, each encoded as (a * expressions + b) * 2 + rhs.
+    for a < b, as the rows (a, b, rhs) of an integer array.
     """
     same = [lits[:, 0] == lits[:, 1], lits[:, 0] == lits[:, 2], lits[:, 1] == lits[:, 2]]
     differ = [consts[:, 0] != consts[:, 1], consts[:, 0] != consts[:, 2],
@@ -360,10 +359,11 @@ def _fold_triangles(lits: np.ndarray, consts: np.ndarray):
     a = lits[rows, twin]
     b = lits[rows, odd]
     rhs = consts[rows, twin] ^ consts[rows, odd] ^ 1
-    expressions = int(lits.max()) + 1 if lits.size else 0
-    equations = np.unique(
-        (np.minimum(a, b) * expressions + np.maximum(a, b)) * 2 + rhs
-    )
+    # Deduplicate the rows (min, max, rhs) packed into one integer each,
+    # unpacking with the same base.
+    base = int(lits.max()) + 1 if lits.size else 1
+    codes = np.unique((np.minimum(a, b) * base + np.maximum(a, b)) * 2 + rhs)
+    equations = np.column_stack([(codes >> 1) // base, (codes >> 1) % base, codes & 1])
     rest = ~(same[0] | same[1] | same[2])
     return lits[rest], consts[rest], equations
 

@@ -2,7 +2,6 @@ import json
 import os
 import shutil
 import subprocess
-import time
 
 import numpy as np
 import pytest
@@ -285,9 +284,7 @@ class TestAnalyze:
         from signspectra.gen import cyclic_h
 
         path = write_csv(tmp_path, cyclic_h(33, 33, seed=1))
-        start = time.perf_counter()
         code, out, _ = run("analyze", path)
-        assert time.perf_counter() - start < 5.0
         assert code == 0
         data = json.loads(out)
         assert "exceed the cap 65536" in data["w_candidates"]["error"]
