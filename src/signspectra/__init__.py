@@ -74,6 +74,7 @@ _EXPORTS = {
     "eigenvalues": "spectral",
     "peripheral_spectrum": "spectral",
     "Classification": "spectral",
+    "Facts": "spectral",
     "classify": "spectral",
     "second_eigenvalue_claims": "spectral",
     "counterexample_bundle": "spectral",

@@ -180,20 +180,25 @@ def _spectral_report(c) -> dict:
     }
 
 
-def _signsym_section(m) -> dict:
-    from .signsym import NotSignSymmetric, detect, sign_constraint_graph
-
-    res = detect(m)
-    if isinstance(res, NotSignSymmetric):
-        return {"sign_symmetric": False, "odd_cycle": list(res.odd_cycle)}
-    g = sign_constraint_graph(m)
+def _signsym_section(graph) -> dict:
+    """Certificate report from a sign-constraint graph: the canonical J is
+    the colour-1 side of every component, and d is -1 exactly on J."""
+    if not graph.consistent:
+        return {"sign_symmetric": False, "odd_cycle": list(graph.odd_cycle)}
     return {
         "sign_symmetric": True,
-        "j_set": sorted(res.j_set),
-        "d": list(res.d_signs),
-        "constraint_components": len(g.components),
-        "certificate_count": 2 ** len(g.components),
+        "j_set": [i + 1 for i, c in enumerate(graph.coloring) if c == 1],
+        "d": [-1 if c == 1 else 1 for c in graph.coloring],
+        "constraint_components": len(graph.components),
+        "certificate_count": 2 ** len(graph.components),
     }
+
+
+def _frobenius_blocks(form) -> list[dict]:
+    return [
+        {"indices": list(idx), "rho": float(r)}
+        for idx, r in zip(form.block_indices, form.rho_per_block)
+    ]
 
 
 def cmd_compound(args) -> int:
@@ -209,8 +214,10 @@ def cmd_compound(args) -> int:
 
 
 def cmd_signsym(args) -> int:
+    from .signsym import sign_constraint_graph
+
     m, _ = read_matrix(args.path, args.format)
-    _emit_json(_signsym_section(m))
+    _emit_json(_signsym_section(sign_constraint_graph(m)))
     return 0
 
 
@@ -223,10 +230,7 @@ def cmd_frobenius(args) -> int:
         {
             "perm": list(form.perm.images),
             "rho": float(form.rho),
-            "blocks": [
-                {"indices": list(idx), "rho": float(r)}
-                for idx, r in zip(form.block_indices, form.rho_per_block)
-            ],
+            "blocks": _frobenius_blocks(form),
         }
     )
     return 0
@@ -278,27 +282,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .digraph import frobenius_form, imprimitivity_index, is_irreducible
-    from .exterior import compound2
-    from .signsym import NotSignSymmetricError, TooManyCertificatesError
-    from .spectral import classify, counterexample_bundle
-    from .wsets import enumerate_w_candidates
+    from .signsym import TooManyCertificatesError
+    from .spectral import Facts, classify, counterexample_bundle
+    from .wsets import w_candidates_from_graphs
 
     m, fmt = read_matrix(args.path, args.format)
-    n = m.shape[0]
+    facts = Facts(m)
 
-    sign_matrix = _signsym_section(m)
-    sign_compound = _signsym_section(compound2(m)) if n >= 2 else None
+    sign_matrix = _signsym_section(facts.graph_a)
+    sign_compound = None if facts.graph_c is None else _signsym_section(facts.graph_c)
 
-    form = frobenius_form(m)
+    form = facts.frobenius
     frob = {
         "perm": list(form.perm.images),
         "rho": float(form.rho),
         "block_count": len(form.block_sizes),
-        "blocks": [
-            {"indices": list(idx), "rho": float(r)}
-            for idx, r in zip(form.block_indices, form.rho_per_block)
-        ],
+        "blocks": _frobenius_blocks(form),
     }
     if sign_matrix["sign_symmetric"]:
         sign_matrix["matches_two_power_blocks"] = (
@@ -306,21 +305,17 @@ def cmd_analyze(args) -> int:
         )
 
     imprim = None
-    if is_irreducible(m):
-        idx = imprimitivity_index(m)
+    if facts.imprimitivity is not None:
         imprim = {
-            "h": idx.h,
-            "cyclic_classes": [list(c) for c in idx.cyclic_classes],
+            "h": facts.imprimitivity.h,
+            "cyclic_classes": [list(c) for c in facts.imprimitivity.cyclic_classes],
         }
 
     w_section = None
-    both_sign_symmetric = sign_matrix["sign_symmetric"] and (
-        sign_compound is None or sign_compound["sign_symmetric"]
-    )
-    if both_sign_symmetric:
+    if facts.graph_a.consistent and (facts.graph_c is None or facts.graph_c.consistent):
         try:
-            enum = enumerate_w_candidates(m, cap=args.cap)
-        except (NotSignSymmetricError, TooManyCertificatesError) as exc:
+            enum = w_candidates_from_graphs(facts.graph_a, facts.graph_c, args.cap)
+        except TooManyCertificatesError as exc:
             w_section = {"error": str(exc)}
         else:
             listed = []
@@ -349,23 +344,15 @@ def cmd_analyze(args) -> int:
                 "candidates": listed,
             }
 
-    c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
+    c = classify(facts, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
 
     classification = _spectral_report(c)
     classification["peripheral"]["values"] = _complex_list(c.peripheral.values)
     classification["verified"] = c.verified
-    classification["facts"] = {
-        "irreducible": c.irreducible,
-        "compound_irreducible": c.compound_irreducible,
-        "exists_transitive": c.exists_transitive,
-        "h": c.h,
-        "h_compound": c.h_compound,
-        "peripheral_count": c.peripheral_count,
-        "rho_multiplicity": c.rho_multiplicity,
-    }
+    classification["facts"] = c.routing_facts()
 
     report = {
-        "input": {"path": args.path, "format": fmt, "n": n},
+        "input": {"path": args.path, "format": fmt, "n": facts.n},
         "tolerances": {
             "rel_tol": args.rel_tol,
             "peripheral_tol": args.peripheral_tol,

@@ -277,10 +277,5 @@ def trace_bound(a) -> float:
     """Lower bound trace(a)/n for the spectral radius of a sign-symmetric
     matrix.  Raises NotSignSymmetricError when the structure is absent."""
     m = as_matrix(a)
-    res = detect(m)
-    if isinstance(res, NotSignSymmetric):
-        raise NotSignSymmetricError(
-            f"matrix is not sign-symmetric; odd constraint cycle {res.odd_cycle}",
-            res.odd_cycle,
-        )
+    sign_constraint_graph(m).require_consistent()
     return float(np.trace(m) / m.shape[0])

@@ -32,14 +32,24 @@ Leaf labels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import linear_sum_assignment
 
+from . import __version__
 from .core import as_matrix
-from .digraph import frobenius_form, imprimitivity_index, is_irreducible
+from .digraph import (
+    FrobeniusForm,
+    ImprimitivityIndex,
+    frobenius_form,
+    imprimitivity_index,
+    is_irreducible,
+)
 from .exterior import compound2
-from .signsym import sign_constraint_graph
+from .signsym import SignConstraintGraph, sign_constraint_graph
 # enumerate_w_candidates stays importable from here for
 # benchmark/test_benchmark.py, which checks tracing against this module.
 from .wsets import enumerate_w_candidates, find_transitive_w  # noqa: F401
@@ -53,6 +63,7 @@ __all__ = [
     "peripheral_spectrum",
     "Prediction",
     "Classification",
+    "Facts",
     "classify",
     "SecondEigenvalueReport",
     "second_eigenvalue_claims",
@@ -181,18 +192,25 @@ class Classification:
     rel_tol: float
     peripheral_tol: float
 
+    def routing_facts(self) -> dict:
+        """The routing facts by name, as `analyze` and counterexample
+        bundles report them."""
+        return {
+            "irreducible": self.irreducible,
+            "compound_irreducible": self.compound_irreducible,
+            "exists_transitive": self.exists_transitive,
+            "h": self.h,
+            "h_compound": self.h_compound,
+            "peripheral_count": self.peripheral_count,
+            "rho_multiplicity": self.rho_multiplicity,
+        }
+
     def verdict(self) -> tuple:
         """The structural verdict, invariant under +-1 diagonal similarity:
         routing facts plus each claim with its verified flag."""
         return (
             self.theorem,
-            self.irreducible,
-            self.compound_irreducible,
-            self.exists_transitive,
-            self.h,
-            self.h_compound,
-            self.peripheral_count,
-            self.rho_multiplicity,
+            *self.routing_facts().values(),
             tuple((p.claim, p.verified) for p in self.predictions),
         )
 
@@ -293,32 +311,91 @@ def _has_positive_principal_minor2(m: np.ndarray) -> bool:
     return bool((grid[iu] > 0).any())
 
 
-def _none_classification(
-    m: np.ndarray,
-    spec: Spectrum,
-    peripheral: PeripheralGroup,
-    diagnostics: str,
-    irreducible: bool | None,
-    compound_irreducible: bool | None,
-    rel_tol: float,
-    peripheral_tol: float,
+class Facts:
+    """The structural facts of one matrix, each computed on first use and at
+    most once, so that `classify` and the CLI reports share them.
+
+    `graph_c`, `compound_irreducible` and `compound_imprimitivity` are None
+    for n = 1, which has no compound; an imprimitivity index is None for a
+    reducible matrix.  `transitive_w` needs n >= 2 and both sign graphs
+    consistent.
+    """
+
+    def __init__(self, a) -> None:
+        self.matrix = as_matrix(a)
+        self.n = self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return eigenvalues(self.matrix)
+
+    @cached_property
+    def graph_a(self) -> SignConstraintGraph:
+        return sign_constraint_graph(self.matrix)
+
+    @cached_property
+    def compound(self) -> np.ndarray | None:
+        return compound2(self.matrix) if self.n > 1 else None
+
+    @cached_property
+    def graph_c(self) -> SignConstraintGraph | None:
+        return None if self.compound is None else sign_constraint_graph(self.compound)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return is_irreducible(self.matrix)
+
+    @cached_property
+    def compound_irreducible(self) -> bool | None:
+        c2 = self.compound
+        if c2 is None:
+            return None
+        # A 1x1 zero compound is treated as degenerate rather than irreducible
+        # so that 2x2 rank-one matrices route by trace instead of through T9.
+        if c2.shape[0] == 1:
+            return bool(c2[0, 0] != 0.0)
+        return is_irreducible(c2)
+
+    @cached_property
+    def imprimitivity(self) -> ImprimitivityIndex | None:
+        return imprimitivity_index(self.matrix) if self.irreducible else None
+
+    @cached_property
+    def compound_imprimitivity(self) -> ImprimitivityIndex | None:
+        return imprimitivity_index(self.compound) if self.compound_irreducible else None
+
+    @cached_property
+    def transitive_w(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        """`find_transitive_w` of the two sign graphs."""
+        return find_transitive_w(self.graph_a, self.graph_c)
+
+    @cached_property
+    def frobenius(self) -> FrobeniusForm:
+        return frobenius_form(self.matrix)
+
+
+class _Tolerances(NamedTuple):
+    rel: float
+    peripheral: float
+    eig: float  # `rel` scaled by max(1, rho), for eigenvalue distances
+
+
+def _classification(
+    facts: Facts, peripheral: PeripheralGroup, tol: _Tolerances,
+    theorem: str, predictions, diagnostics: str, *,
+    compound_irreducible: bool | None = None,
+    exists_transitive: bool | None = None,
+    h: int | None = None,
+    h_compound: int | None = None,
+    rho_multiplicity: int | None = None,
 ) -> Classification:
+    """The fields every leaf shares; `irreducible` is read from the facts."""
+    predictions = tuple(predictions)
     return Classification(
-        theorem="NONE",
-        predictions=(),
-        verified=True,
-        diagnostics=diagnostics,
-        spectrum=spec,
-        peripheral=peripheral,
-        irreducible=irreducible,
-        compound_irreducible=compound_irreducible,
-        exists_transitive=None,
-        h=None,
-        h_compound=None,
-        peripheral_count=peripheral.count,
-        rho_multiplicity=None,
-        rel_tol=rel_tol,
-        peripheral_tol=peripheral_tol,
+        theorem, predictions, all(p.verified for p in predictions), diagnostics,
+        facts.spectrum, peripheral, facts.irreducible, compound_irreducible,
+        exists_transitive, h, h_compound, peripheral.count, rho_multiplicity,
+        tol.rel, tol.peripheral,
     )
 
 
@@ -327,186 +404,115 @@ def classify(
     rel_tol: float = DEFAULT_REL_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
 ) -> Classification:
-    """Route a matrix through the structural decision tree and verify every
-    prediction of the selected leaf against the computed spectrum.
+    """Route a matrix, or its `Facts`, through the structural decision tree
+    and verify every prediction of the selected leaf against the computed
+    spectrum.
 
     `rel_tol` scales eigenvalue matching and `peripheral_tol` the modulus
-    band that delimits the peripheral group.  The sign-constraint graphs of
-    the matrix and of its second compound are built once each; whether a
+    band that delimits the peripheral group.  Every fact comes from one
+    `Facts`, shared with the caller when it passes one.  Whether a
     transitive candidate W set exists is decided by `find_transitive_w`,
     which lists no candidates, so no certificate count limits the input.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    spec = eigenvalues(m)
-    rho = spec.rho
+    facts = a if isinstance(a, Facts) else Facts(a)
+    spec = facts.spectrum
     peripheral = peripheral_spectrum(spec, peripheral_tol)
-    tol_eig = rel_tol * max(1.0, rho)
+    tol = _Tolerances(rel_tol, peripheral_tol, rel_tol * max(1.0, spec.rho))
 
-    graph_a = sign_constraint_graph(m)
-    if not graph_a.consistent:
-        return _none_classification(
-            m, spec, peripheral,
-            f"matrix is not sign-symmetric: odd constraint cycle {graph_a.odd_cycle}",
-            is_irreducible(m), None, rel_tol, peripheral_tol,
+    if not facts.graph_a.consistent:
+        return _classification(
+            facts, peripheral, tol, "NONE", (),
+            "matrix is not sign-symmetric: odd constraint cycle"
+            f" {facts.graph_a.odd_cycle}",
         )
 
-    rho_zero = rho <= 1e-12 * max(1.0, float(np.linalg.norm(m)))
+    rho_zero = spec.rho <= 1e-12 * max(1.0, float(np.linalg.norm(facts.matrix)))
+    zero_text = "spectral radius is zero; peripheral structure is degenerate"
 
-    if n == 1:
+    if facts.n == 1:
         if rho_zero:
-            return _none_classification(
-                m, spec, peripheral,
-                "spectral radius is zero; peripheral structure is degenerate",
-                True, None, rel_tol, peripheral_tol,
-            )
-        preds = (
-            _pred_rho_eigenvalue(spec, tol_eig),
-            _pred_index_one(1, peripheral),
-        )
-        return Classification(
-            theorem="T10",
-            predictions=preds,
-            verified=all(p.verified for p in preds),
-            diagnostics="1x1 matrix with positive entry; second-eigenvalue claims"
-            " are vacuous",
-            spectrum=spec,
-            peripheral=peripheral,
-            irreducible=True,
-            compound_irreducible=None,
-            exists_transitive=True,
-            h=1,
-            h_compound=None,
-            peripheral_count=peripheral.count,
-            rho_multiplicity=None,
-            rel_tol=rel_tol,
-            peripheral_tol=peripheral_tol,
+            return _classification(facts, peripheral, tol, "NONE", (), zero_text)
+        return _classification(
+            facts, peripheral, tol, "T10",
+            (_pred_rho_eigenvalue(spec, tol.eig), _pred_index_one(1, peripheral)),
+            "1x1 matrix with positive entry; second-eigenvalue claims are vacuous",
+            exists_transitive=True, h=1,
         )
 
-    c2 = compound2(m)
-    graph_c = sign_constraint_graph(c2)
-    irr_a = is_irreducible(m)
-    if not graph_c.consistent:
-        return _none_classification(
-            m, spec, peripheral,
+    if not facts.graph_c.consistent:
+        return _classification(
+            facts, peripheral, tol, "NONE", (),
             "second compound is not sign-symmetric: odd constraint cycle"
-            f" {graph_c.odd_cycle}",
-            irr_a, None, rel_tol, peripheral_tol,
+            f" {facts.graph_c.odd_cycle}",
         )
-
-    # A 1x1 zero compound is treated as degenerate rather than irreducible so
-    # that 2x2 rank-one matrices route by trace instead of through T9.
-    if c2.shape[0] == 1:
-        irr_c = bool(c2[0, 0] != 0.0)
-    else:
-        irr_c = is_irreducible(c2)
-
     if rho_zero:
-        return _none_classification(
-            m, spec, peripheral,
-            "spectral radius is zero; peripheral structure is degenerate",
-            irr_a, irr_c, rel_tol, peripheral_tol,
+        return _classification(
+            facts, peripheral, tol, "NONE", (), zero_text,
+            compound_irreducible=facts.compound_irreducible,
         )
 
-    if not irr_a:
-        return _classify_reducible(
-            m, spec, peripheral, irr_c, tol_eig, rel_tol, peripheral_tol
-        )
-
-    h_a = imprimitivity_index(m).h
-    trace_positive = float(np.trace(m)) > 0.0
-
-    if irr_c and c2.shape[0] > 1:
-        h_c = imprimitivity_index(c2).h
-    elif irr_c:
-        h_c = 1
-    else:
-        h_c = None
-
-    if irr_c:
-        if find_transitive_w(graph_a, graph_c) is not None:
-            return _classify_t91(
-                m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_tol
-            )
-        return _classify_t92(
-            m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_tol
-        )
-
-    if trace_positive:
-        return _classify_t10_t81(
-            m, spec, peripheral, "T10", h_a, None, tol_eig, rel_tol, peripheral_tol
-        )
-    if find_transitive_w(graph_a, graph_c) is not None:
-        return _classify_t10_t81(
-            m, spec, peripheral, "T8.1", h_a, True, tol_eig, rel_tol, peripheral_tol
-        )
-    return _classify_t82(m, spec, peripheral, h_a, tol_eig, rel_tol, peripheral_tol)
+    if not facts.irreducible:
+        return _classify_reducible(facts, peripheral, tol)
+    if facts.compound_irreducible:
+        if facts.transitive_w is not None:
+            return _classify_t91(facts, peripheral, tol)
+        return _classify_t92(facts, peripheral, tol)
+    if float(np.trace(facts.matrix)) > 0.0:
+        return _classify_t10_t81(facts, peripheral, tol, "T10")
+    if facts.transitive_w is not None:
+        return _classify_t10_t81(facts, peripheral, tol, "T8.1")
+    return _classify_t82(facts, peripheral, tol)
 
 
-def _classify_t91(m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_tol):
+def _classify_t91(facts, peripheral, tol):
+    spec = facts.spectrum
+    h_a = facts.imprimitivity.h
+    h_c = facts.compound_imprimitivity.h
     preds = [
-        _pred_rho_eigenvalue(spec, tol_eig),
+        _pred_rho_eigenvalue(spec, tol.eig),
         _pred_index_one(h_a, peripheral),
         _pred_second_real(spec, strict=True),
         _pred_second_below_rho(spec),
     ]
-    lam2 = _second_value(spec)
-    r2 = abs(lam2)
-    n = m.shape[0]
+    r2 = abs(_second_value(spec))
     if r2 == 0.0:
-        preds.append(
-            Prediction(
-                "second_circle_matches_compound_index",
-                "second eigenvalue has zero modulus; circle structure undefined",
-                False,
-            )
-        )
+        detail = "second eigenvalue has zero modulus; circle structure undefined"
+        ok = False
+    elif h_c == 1 and facts.n <= 2:
+        detail = "compound index 1 and no third eigenvalue exists"
+        ok = True
     elif h_c == 1:
-        if n <= 2:
-            preds.append(
-                Prediction(
-                    "second_circle_matches_compound_index",
-                    "compound index 1 and no third eigenvalue exists",
-                    True,
-                )
-            )
-        else:
-            lam3 = complex(spec.values[2])
-            preds.append(
-                Prediction(
-                    "second_circle_matches_compound_index",
-                    f"compound index 1: |lambda3|={_fmt(abs(lam3))} strictly below"
-                    f" |lambda2|={_fmt(r2)}",
-                    abs(lam3) < r2 * STRICT_SEPARATION,
-                )
-            )
-    else:
-        band = np.abs(np.abs(spec.values) - r2) <= r2 * peripheral_tol
-        circle = spec.values[band]
-        atol = rel_tol * max(1.0, r2)
-        match = match_complex_multisets(circle, _roots_targets(r2, h_c), atol)
-        preds.append(
-            Prediction(
-                "second_circle_matches_compound_index",
-                f"{int(circle.size)} eigenvalues on the second circle match the"
-                f" {h_c} roots of lambda2^{h_c}: max distance"
-                f" {_fmt(match.max_distance)} within {_fmt(atol)}",
-                match.ok and int(circle.size) == h_c,
-            )
+        lam3 = complex(spec.values[2])
+        detail = (
+            f"compound index 1: |lambda3|={_fmt(abs(lam3))} strictly below"
+            f" |lambda2|={_fmt(r2)}"
         )
-    preds = tuple(preds)
-    return Classification(
-        "T9.1", preds, all(p.verified for p in preds),
+        ok = abs(lam3) < r2 * STRICT_SEPARATION
+    else:
+        band = np.abs(np.abs(spec.values) - r2) <= r2 * tol.peripheral
+        circle = spec.values[band]
+        atol = tol.rel * max(1.0, r2)
+        match = match_complex_multisets(circle, _roots_targets(r2, h_c), atol)
+        detail = (
+            f"{int(circle.size)} eigenvalues on the second circle match the"
+            f" {h_c} roots of lambda2^{h_c}: max distance"
+            f" {_fmt(match.max_distance)} within {_fmt(atol)}"
+        )
+        ok = match.ok and int(circle.size) == h_c
+    preds.append(Prediction("second_circle_matches_compound_index", detail, ok))
+    return _classification(
+        facts, peripheral, tol, "T9.1", preds,
         "matrix and second compound both irreducible and sign-symmetric;"
         " a transitive candidate W set exists",
-        spec, peripheral, True, True, True, h_a, h_c,
-        peripheral.count, None, rel_tol, peripheral_tol,
+        compound_irreducible=True, exists_transitive=True, h=h_a, h_compound=h_c,
     )
 
 
-def _classify_t92(m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_tol):
+def _classify_t92(facts, peripheral, tol):
+    h_a = facts.imprimitivity.h
+    h_c = facts.compound_imprimitivity.h
     preds = (
-        _pred_rho_eigenvalue(spec, tol_eig),
+        _pred_rho_eigenvalue(facts.spectrum, tol.eig),
         Prediction(
             "index_equals_three",
             f"imprimitivity indices of matrix ({h_a}) and compound ({h_c}) both 3",
@@ -517,31 +523,29 @@ def _classify_t92(m, spec, peripheral, h_a, h_c, tol_eig, rel_tol, peripheral_to
             f"peripheral count {peripheral.count} equals 3",
             peripheral.count == 3,
         ),
-        _pred_peripheral_roots(peripheral, 3, tol_eig),
+        _pred_peripheral_roots(peripheral, 3, tol.eig),
         _pred_peripheral_simple(peripheral),
     )
-    return Classification(
-        "T9.2", preds, all(p.verified for p in preds),
+    return _classification(
+        facts, peripheral, tol, "T9.2", preds,
         "matrix and second compound both irreducible and sign-symmetric;"
         " no transitive candidate W set",
-        spec, peripheral, True, True, False, h_a, h_c,
-        peripheral.count, None, rel_tol, peripheral_tol,
+        compound_irreducible=True, exists_transitive=False, h=h_a, h_compound=h_c,
     )
 
 
-def _classify_t10_t81(
-    m, spec, peripheral, label, h_a, exists_transitive, tol_eig, rel_tol, peripheral_tol
-):
+def _classify_t10_t81(facts, peripheral, tol, label):
+    spec = facts.spectrum
+    h_a = facts.imprimitivity.h
     preds = [
-        _pred_rho_eigenvalue(spec, tol_eig),
+        _pred_rho_eigenvalue(spec, tol.eig),
         _pred_index_one(h_a, peripheral),
         _pred_second_real(spec, strict=False),
         _pred_second_below_rho(spec),
     ]
-    if label == "T10" and _has_positive_principal_minor2(m):
-        preds.append(_pred_second_real(spec, strict=True))
-    preds = tuple(preds)
     if label == "T10":
+        if _has_positive_principal_minor2(facts.matrix):
+            preds.append(_pred_second_real(spec, strict=True))
         diag = (
             "matrix irreducible and sign-symmetric with sign-symmetric compound"
             " and positive trace"
@@ -551,17 +555,19 @@ def _classify_t10_t81(
             "matrix irreducible, compound sign-symmetric but reducible, zero"
             " trace; a transitive candidate W set exists"
         )
-    return Classification(
-        label, preds, all(p.verified for p in preds), diag,
-        spec, peripheral, True, False, exists_transitive, h_a, None,
-        peripheral.count, None, rel_tol, peripheral_tol,
+    return _classification(
+        facts, peripheral, tol, label, preds, diag,
+        compound_irreducible=False,
+        exists_transitive=True if label == "T8.1" else None,
+        h=h_a,
     )
 
 
-def _classify_t82(m, spec, peripheral, h_a, tol_eig, rel_tol, peripheral_tol):
+def _classify_t82(facts, peripheral, tol):
+    h_a = facts.imprimitivity.h
     k = peripheral.count
     preds = (
-        _pred_rho_eigenvalue(spec, tol_eig),
+        _pred_rho_eigenvalue(facts.spectrum, tol.eig),
         Prediction(
             "peripheral_count_odd",
             f"peripheral count {k} is odd",
@@ -572,33 +578,33 @@ def _classify_t82(m, spec, peripheral, h_a, tol_eig, rel_tol, peripheral_tol):
             f"peripheral count {k} equals the imprimitivity index {h_a}",
             k == h_a,
         ),
-        _pred_peripheral_roots(peripheral, h_a, tol_eig),
+        _pred_peripheral_roots(peripheral, h_a, tol.eig),
         _pred_peripheral_simple(peripheral),
     )
-    return Classification(
-        "T8.2", preds, all(p.verified for p in preds),
+    return _classification(
+        facts, peripheral, tol, "T8.2", preds,
         "matrix irreducible, compound sign-symmetric but reducible, zero trace;"
         " no transitive candidate W set",
-        spec, peripheral, True, False, False, h_a, None,
-        peripheral.count, None, rel_tol, peripheral_tol,
+        compound_irreducible=False, exists_transitive=False, h=h_a,
     )
 
 
-def _classify_reducible(m, spec, peripheral, irr_c, tol_eig, rel_tol, peripheral_tol):
+def _classify_reducible(facts, peripheral, tol):
+    spec = facts.spectrum
     rho = spec.rho
-    form = frobenius_form(m)
+    form = facts.frobenius
     attaining = [
         t for t, r in enumerate(form.rho_per_block)
-        if r >= rho * (1.0 - peripheral_tol)
+        if r >= rho * (1.0 - tol.peripheral)
     ]
     mult = len(attaining)
     group_indices = [
         imprimitivity_index(form.blocks[t]).h for t in attaining
     ]
 
-    rho_close = int(np.sum(np.abs(spec.values - rho) <= tol_eig))
+    rho_close = int(np.sum(np.abs(spec.values - rho) <= tol.eig))
     preds = [
-        _pred_rho_eigenvalue(spec, tol_eig),
+        _pred_rho_eigenvalue(spec, tol.eig),
         Prediction(
             "rho_multiplicity_matches_blocks",
             f"rho appears {rho_close} times in the spectrum, matching"
@@ -623,22 +629,20 @@ def _classify_reducible(m, spec, peripheral, irr_c, tol_eig, rel_tol, peripheral
             for t, k in zip(attaining, group_indices)
         ]
     ) if attaining else np.zeros(0, dtype=complex)
-    match = match_complex_multisets(peripheral.values, targets, tol_eig)
+    match = match_complex_multisets(peripheral.values, targets, tol.eig)
     preds.append(
         Prediction(
             "peripheral_groups_match_roots",
             f"peripheral spectrum matches the union of per-block root groups:"
-            f" max distance {_fmt(match.max_distance)} within {_fmt(tol_eig)}",
+            f" max distance {_fmt(match.max_distance)} within {_fmt(tol.eig)}",
             match.ok,
         )
     )
-    preds = tuple(preds)
-    return Classification(
-        "T11", preds, all(p.verified for p in preds),
+    return _classification(
+        facts, peripheral, tol, "T11", preds,
         f"matrix reducible with {len(form.block_sizes)} diagonal blocks,"
         f" {mult} attaining the spectral radius",
-        spec, peripheral, False, irr_c, None, None, None,
-        peripheral.count, mult, rel_tol, peripheral_tol,
+        compound_irreducible=facts.compound_irreducible, rho_multiplicity=mult,
     )
 
 
@@ -671,22 +675,24 @@ def second_eigenvalue_claims(
 
 def counterexample_bundle(a, classification: Classification) -> dict:
     """Everything needed to reproduce a failed prediction: the matrix, the
-    routing facts, the spectrum, and each claim with its outcome."""
+    tolerances and library versions to replay it with, the routing facts,
+    the spectrum, and each claim with its outcome."""
     m = as_matrix(a)
     return {
         "matrix": [[float(v) for v in row] for row in m],
+        "tolerances": {
+            "rel_tol": classification.rel_tol,
+            "peripheral_tol": classification.peripheral_tol,
+        },
+        "versions": {
+            "signspectra": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "theorem": classification.theorem,
         "verified": classification.verified,
         "diagnostics": classification.diagnostics,
-        "facts": {
-            "irreducible": classification.irreducible,
-            "compound_irreducible": classification.compound_irreducible,
-            "exists_transitive": classification.exists_transitive,
-            "h": classification.h,
-            "h_compound": classification.h_compound,
-            "peripheral_count": classification.peripheral_count,
-            "rho_multiplicity": classification.rho_multiplicity,
-        },
+        "facts": classification.routing_facts(),
         "rho": float(classification.spectrum.rho),
         "eigenvalues": [
             {"re": float(z.real), "im": float(z.imag)}

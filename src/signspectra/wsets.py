@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import PairIndexer, Permutation, as_matrix, pair_count
+from .core import Permutation, as_matrix, pair_count
 from .signsym import SignConstraintGraph, TooManyCertificatesError, sign_constraint_graph
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "WCandidate",
     "WCandidateEnumeration",
     "enumerate_w_candidates",
+    "w_candidates_from_graphs",
     "find_transitive_w",
     "DEFAULT_CANDIDATE_CAP",
 ]
@@ -142,17 +143,16 @@ def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
 
     member = np.eye(n, dtype=bool)
     if n >= 2:
-        idx = PairIndexer(n)
-        i1 = idx.pairs[:, 0]
-        j1 = idx.pairs[:, 1]
+        i0, j0 = np.triu_indices(n, k=1)
         in_j = np.zeros(n + 1, dtype=bool)
         in_j[list(j_set)] = True
         in_jt = np.zeros(mp + 1, dtype=bool)
         in_jt[list(jt_set)] = True
-        same_side = in_j[i1] == in_j[j1]
-        keep = same_side == in_jt[idx.index_array(i1, j1)]
-        member[i1 - 1, j1 - 1] = keep
-        member[j1 - 1, i1 - 1] = ~keep
+        # triu_indices lists the pairs in lexicographic order, so the pair at
+        # 0-based position p has 1-based position p + 1 in Jt.
+        keep = (in_j[i0 + 1] == in_j[j0 + 1]) == in_jt[1:]
+        member[i0, j0] = keep
+        member[j0, i0] = ~keep
     return WSet(n, member)
 
 
@@ -188,13 +188,23 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
     from .exterior import compound2
 
     m = as_matrix(a)
-    n = m.shape[0]
     graph_a = sign_constraint_graph(m)
     graph_a.require_consistent()
+    graph_c = sign_constraint_graph(compound2(m)) if m.shape[0] > 1 else None
+    return w_candidates_from_graphs(graph_a, graph_c, cap)
+
+
+def w_candidates_from_graphs(
+    graph_a: SignConstraintGraph,
+    graph_c: SignConstraintGraph | None,
+    cap: int = DEFAULT_CANDIDATE_CAP,
+) -> WCandidateEnumeration:
+    """`enumerate_w_candidates` from the sign-constraint graphs of an n x n
+    matrix and of its second compound (None for n = 1)."""
+    n = graph_a.n
+    graph_a.require_consistent()
     components = len(graph_a.components)
-    graph_c = None
-    if n > 1:
-        graph_c = sign_constraint_graph(compound2(m))
+    if graph_c is not None:
         graph_c.require_consistent()
         components += len(graph_c.components)
     total = 2**components

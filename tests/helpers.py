@@ -8,6 +8,8 @@ from boolean matrix powers.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 # Weighted directed 5-cycle: the running worked example.  Its second
@@ -153,9 +155,9 @@ def hungarian_close(a, b, atol: float) -> bool:
     return match_complex_multisets(a, b, atol).ok
 
 
-def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+def _wrap_calls(monkeypatch, names, record) -> None:
     """Wrap the named functions in every signspectra module namespace that
-    holds them and return a dict counting the calls by name."""
+    holds them so that each call first runs record(name, args)."""
     import functools
     import importlib
 
@@ -163,16 +165,38 @@ def count_calls(monkeypatch, *names: str) -> dict[str, int]:
         importlib.import_module(f"signspectra.{name}")
         for name in ("core", "exterior", "signsym", "digraph", "wsets", "spectral")
     ]
-    counts = dict.fromkeys(names, 0)
     for name in names:
         original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
         @functools.wraps(original)
         def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
+            record(_name, args)
             return _fn(*args, **kwargs)
 
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+
+
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Wrap the named functions in every signspectra module namespace that
+    holds them and return a dict counting the calls by name."""
+    counts = dict.fromkeys(names, 0)
+
+    def record(name, args):
+        counts[name] += 1
+
+    _wrap_calls(monkeypatch, names, record)
+    return counts
+
+
+def count_calls_by_dimension(monkeypatch, *names: str) -> dict[str, Counter]:
+    """Like `count_calls`, but count each function's calls by the dimension
+    of the matrix passed as its first argument."""
+    counts = {name: Counter() for name in names}
+
+    def record(name, args):
+        counts[name][np.shape(args[0])[0]] += 1
+
+    _wrap_calls(monkeypatch, names, record)
     return counts

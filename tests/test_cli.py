@@ -8,9 +8,15 @@ import pytest
 
 from signspectra.cli import format_matrix_csv, main, parse_matrix_text
 from signspectra.digraph import imprimitivity_index
-from signspectra.gen import scrambled
+from signspectra.gen import reducible_blocks, scrambled, tp2
 
-from helpers import EXAMPLE1, EXAMPLE1_COMPOUND_CSV, cycle_matrix
+from helpers import (
+    EXAMPLE1,
+    EXAMPLE1_COMPOUND_CSV,
+    count_calls,
+    count_calls_by_dimension,
+    cycle_matrix,
+)
 
 
 @pytest.fixture
@@ -300,6 +306,82 @@ class TestAnalyze:
         assert data["sign_symmetry"]["matrix"]["sign_symmetric"] is False
         assert data["w_candidates"] is None
         assert data["classification"]["theorem"] == "NONE"
+
+
+def _flat_w_listing(w_section):
+    """analyze's grouped W candidates in the flat per-pair form of `wsets`."""
+    return [
+        {"j": pair["j"], "jt": pair["jt"], "transitive": cand["transitive"],
+         "witness": cand["witness"], "order": cand["order"]}
+        for cand in w_section["candidates"]
+        for pair in cand["generating_pairs"]
+    ]
+
+
+ANALYZE_INPUTS = {
+    "worked-5x5": EXAMPLE1,
+    "tp2": tp2(5, seed=2),
+    # 8 x 512 (J, Jt) combinations and 512 distinct W sets: truncated.
+    "t11-blocks": reducible_blocks([cycle_matrix(3), cycle_matrix(3), cycle_matrix(5)]),
+    "none": cycle_matrix(4),
+}
+
+
+class TestAnalyzeSharesFacts:
+    @pytest.mark.parametrize("name", sorted(ANALYZE_INPUTS))
+    def test_sections_match_subcommands(self, run, tmp_path, name):
+        path = write_csv(tmp_path, ANALYZE_INPUTS[name])
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        report = json.loads(out)
+        signsym = json.loads(run("signsym", path)[1])
+        frobenius = json.loads(run("frobenius", path)[1])
+        wsets_code, wsets_out, _ = run("wsets", path)
+
+        sign_matrix = dict(report["sign_symmetry"]["matrix"])
+        sign_matrix.pop("matches_two_power_blocks", None)
+        assert sign_matrix == signsym
+        assert report["frobenius"]["blocks"] == frobenius["blocks"]
+        assert report["frobenius"]["perm"] == frobenius["perm"]
+        w = report["w_candidates"]
+        if w is None:
+            assert name == "none"
+            assert wsets_code == 1
+            return
+        listing = json.loads(wsets_out)
+        for key in ("exists_transitive", "j_count", "jt_count", "unique_w_sets"):
+            assert w[key] == listing[key]
+        assert w["truncated"] == (listing["unique_w_sets"] > 64)
+        assert w["truncated"] == (name == "t11-blocks")
+        flat = _flat_w_listing(w)
+        assert flat == listing["candidates"][: len(flat)]
+        if not w["truncated"]:
+            assert len(flat) == len(listing["candidates"])
+
+    @pytest.mark.parametrize(
+        "a, theorem", [(tp2(4, seed=3), "T9.1"), (scrambled(EXAMPLE1, seed=4), "T8.2")]
+    )
+    def test_each_stage_runs_once(self, run, tmp_path, monkeypatch, a, theorem):
+        path = write_csv(tmp_path, a)
+        calls = count_calls(
+            monkeypatch, "compound2", "sign_constraint_graph", "detect",
+            "eigenvalues", "frobenius_form", "find_transitive_w",
+        )
+        by_dimension = count_calls_by_dimension(
+            monkeypatch, "imprimitivity_index", "is_irreducible"
+        )
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert json.loads(out)["classification"]["theorem"] == theorem
+        transitive = calls.pop("find_transitive_w")
+        assert calls == {
+            "compound2": 1, "sign_constraint_graph": 2, "detect": 0,
+            "eigenvalues": 1, "frobenius_form": 1,
+        }
+        assert transitive <= 1
+        # One call from the facts, one as imprimitivity_index's precondition.
+        assert max(by_dimension["imprimitivity_index"].values()) <= 1
+        assert max(by_dimension["is_irreducible"].values()) <= 2
 
 
 class TestGen:

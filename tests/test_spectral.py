@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
+import signspectra
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.spectral import (
     Classification,
@@ -379,6 +381,8 @@ class TestCounterexampleBundle:
         bundle = counterexample_bundle(a, c)
         assert set(bundle) == {
             "matrix",
+            "tolerances",
+            "versions",
             "theorem",
             "verified",
             "diagnostics",
@@ -392,6 +396,17 @@ class TestCounterexampleBundle:
         assert len(bundle["eigenvalues"]) == 2
         assert len(bundle["predictions"]) == len(c.predictions)
         json.dumps(bundle)
+
+    def test_records_replay_tolerances_and_versions(self):
+        a = np.asarray(EXAMPLE1)
+        c = classify(a, rel_tol=-1.0, peripheral_tol=1e-5)
+        bundle = counterexample_bundle(a, c)
+        assert bundle["tolerances"] == {"rel_tol": -1.0, "peripheral_tol": 1e-5}
+        assert bundle["versions"] == {
+            "signspectra": signspectra.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_records_failures(self):
         a = np.asarray(EXAMPLE1)
