@@ -201,6 +201,13 @@ def _frobenius_blocks(form) -> list[dict]:
     ]
 
 
+def _compound_limit_error(exc: ValueError) -> CliInputError:
+    """The input error for a matrix whose second compound exceeds a size
+    limit: the only ValueError the analysis stages raise on a matrix that
+    `read_matrix` accepted (C(n,2) > MAX_DIMENSION from n = 78 on)."""
+    return CliInputError(f"second compound: {exc}")
+
+
 def cmd_compound(args) -> int:
     from .exterior import compound2
 
@@ -273,7 +280,10 @@ def cmd_classify(args) -> int:
     from .spectral import classify, counterexample_bundle
 
     m, _ = read_matrix(args.path, args.format)
-    c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
+    try:
+        c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
+    except ValueError as exc:
+        raise _compound_limit_error(exc) from exc
     _emit_json(_spectral_report(c))
     if not c.verified:
         sys.stderr.write(json.dumps(counterexample_bundle(m, c), indent=2) + "\n")
@@ -288,9 +298,13 @@ def cmd_analyze(args) -> int:
 
     m, fmt = read_matrix(args.path, args.format)
     facts = Facts(m)
+    try:
+        graph_c = facts.graph_c
+    except ValueError as exc:
+        raise _compound_limit_error(exc) from exc
 
     sign_matrix = _signsym_section(facts.graph_a)
-    sign_compound = None if facts.graph_c is None else _signsym_section(facts.graph_c)
+    sign_compound = None if graph_c is None else _signsym_section(graph_c)
 
     form = facts.frobenius
     frob = {
@@ -312,9 +326,9 @@ def cmd_analyze(args) -> int:
         }
 
     w_section = None
-    if facts.graph_a.consistent and (facts.graph_c is None or facts.graph_c.consistent):
+    if facts.graph_a.consistent and (graph_c is None or graph_c.consistent):
         try:
-            enum = w_candidates_from_graphs(facts.graph_a, facts.graph_c, args.cap)
+            enum = w_candidates_from_graphs(facts.graph_a, graph_c, args.cap)
         except TooManyCertificatesError as exc:
             w_section = {"error": str(exc)}
         else:
@@ -400,7 +414,7 @@ def cmd_gen(args) -> int:
 def cmd_verify_corpus(args) -> int:
     from .exterior import verify_eigenvalue_products
     from .gen import GenSpec, GenerationError, generate
-    from .spectral import classify, counterexample_bundle
+    from .spectral import Facts, classify, counterexample_bundle
 
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -421,10 +435,14 @@ def cmd_verify_corpus(args) -> int:
             matrix = generate(spec)
         except (ValueError, GenerationError) as exc:
             raise CliInputError(f"spec {index}: {exc}") from exc
-        c = classify(
-            matrix, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol
-        )
-        products = verify_eigenvalue_products(matrix)
+        facts = Facts(matrix)
+        try:
+            c = classify(
+                facts, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol
+            )
+            products = verify_eigenvalue_products(facts)
+        except ValueError as exc:
+            raise CliInputError(f"spec {index}: {_compound_limit_error(exc)}") from exc
         ok = c.verified and products.ok
         results.append(
             {

@@ -4,12 +4,17 @@ imprimitivity index.
 The digraph has an arc i -> j exactly when a_ij != 0.  A matrix is
 irreducible when this digraph is strongly connected; a 1 x 1 matrix is
 irreducible by convention.
+
+Irreducibility and the imprimitivity index come from breadth-first search
+over the nonzero pattern: the digraph is strongly connected exactly when
+node 0 reaches every node along the arcs and against them.  Only
+`frobenius_form`, which needs every component, labels the strong
+components with scipy.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -35,12 +40,41 @@ class ReducibleInputError(ValueError):
     """Raised by operations that require an irreducible matrix."""
 
 
-def _adjacency(m: np.ndarray) -> list[list[int]]:
-    rows, cols = np.nonzero(m)
-    adj: list[list[int]] = [[] for _ in range(m.shape[0])]
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        adj[u].append(v)
-    return adj
+def _adjacency(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> tuple[list[int], list[int]]:
+    """Row pointers and column indices of the arcs (rows[k], cols[k]), which
+    come row by row as `np.nonzero` lists them: the successors of u are
+    cols[indptr[u]:indptr[u + 1]]."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr.tolist(), cols.tolist()
+
+
+def _bfs_levels(indptr: list[int], cols: list[int]) -> list[int]:
+    """Arc distance from node 0 to every node; -1 where node 0 cannot reach.
+
+    The search stops once every node is queued, so a dense pattern costs
+    about one row of arcs rather than all of them.
+    """
+    n = len(indptr) - 1
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        if len(queue) == n:
+            break
+        step = level[u] + 1
+        for v in cols[indptr[u]:indptr[u + 1]]:
+            if level[v] < 0:
+                level[v] = step
+                queue.append(v)
+    return level
+
+
+def _reaches_all(m: np.ndarray) -> bool:
+    """True when node 0 reaches every node along the arcs of `m`."""
+    return -1 not in _bfs_levels(*_adjacency(*np.nonzero(m), m.shape[0]))
 
 
 def _strong_labels(m: np.ndarray) -> tuple[int, np.ndarray]:
@@ -53,11 +87,12 @@ def is_irreducible(a) -> bool:
     m = as_matrix(a)
     if m.shape[0] == 1:
         return True
-    n_comp, _ = _strong_labels(m)
-    return n_comp == 1
+    return _reaches_all(m) and _reaches_all(m.T)
 
 
-def _shortest_path(adj: list[list[int]], src: int, dst: int) -> list[int]:
+def _shortest_path(
+    indptr: list[int], cols: list[int], src: int, dst: int
+) -> list[int]:
     """BFS path src..dst as a node list including both ends."""
     if src == dst:
         return [src]
@@ -65,7 +100,7 @@ def _shortest_path(adj: list[list[int]], src: int, dst: int) -> list[int]:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
+        for v in cols[indptr[u]:indptr[u + 1]]:
             if v not in parent:
                 parent[v] = u
                 if v == dst:
@@ -89,11 +124,11 @@ def irreducibility_path(a) -> list[int] | None:
         return [1, 1] if m[0, 0] != 0 else None
     if not is_irreducible(m):
         return None
-    adj = _adjacency(m)
+    adj = _adjacency(*np.nonzero(m), n)
     walk = [0]
     for target in range(1, n):
-        walk.extend(_shortest_path(adj, walk[-1], target)[1:])
-    walk.extend(_shortest_path(adj, walk[-1], 0)[1:])
+        walk.extend(_shortest_path(*adj, walk[-1], target)[1:])
+    walk.extend(_shortest_path(*adj, walk[-1], 0)[1:])
     return [u + 1 for u in walk]
 
 
@@ -204,31 +239,19 @@ def imprimitivity_index(a) -> ImprimitivityIndex:
     n = m.shape[0]
     if n == 1:
         return ImprimitivityIndex(1, ((1,),))
-    if not is_irreducible(m):
+    rows, cols = np.nonzero(m)
+    level = _bfs_levels(*_adjacency(rows, cols, n))
+    if -1 in level or not _reaches_all(m.T):
         raise ReducibleInputError("imprimitivity index requires an irreducible matrix")
 
-    adj = _adjacency(m)
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if level[v] == -1:
-                level[v] = level[u] + 1
-                queue.append(v)
-
-    h = 0
-    rows, cols = np.nonzero(m)
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        h = math.gcd(h, abs(int(level[u]) + 1 - int(level[v])))
+    depth = np.array(level)
+    h = int(np.gcd.reduce(np.abs(depth[rows] + 1 - depth[cols])))
     if h == 0:
         raise AssertionError("strongly connected digraph with no cycle")
-
     classes: list[list[int]] = [[] for _ in range(h)]
-    for node in range(n):
-        classes[int(level[node]) % h].append(node + 1)
-    return ImprimitivityIndex(h, tuple(tuple(sorted(c)) for c in classes))
+    for node, lv in enumerate(level):
+        classes[lv % h].append(node + 1)
+    return ImprimitivityIndex(h, tuple(tuple(c) for c in classes))
 
 
 def is_primitive(a) -> bool:

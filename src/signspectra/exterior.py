@@ -132,23 +132,27 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     """Check that the W-matrix spectrum equals all products lambda_i lambda_j,
     i < j, of the base matrix eigenvalues.
 
-    The two multisets are matched by an optimal pairing; `ok` is True when
-    the largest matched distance is within `tol`.  The default tolerance is
-    1e-6 * max(1, rho(a)^2), scaling with the largest product magnitude.
+    `a` is a matrix or its `spectral.Facts`, whose spectrum is then reused
+    and, for the default natural orientation, whose compound serves as the
+    W matrix.  The two multisets are matched by an optimal pairing; `ok` is
+    True when the largest matched distance is within `tol`.  The default
+    tolerance is 1e-6 * max(1, rho(a)^2), scaling with the largest product
+    magnitude.
     """
-    from .spectral import eigenvalues, match_complex_multisets
+    from .spectral import Facts, match_complex_multisets
 
-    m = as_matrix(a)
-    n = m.shape[0]
-    if w is None:
-        w = canonical_m(n)
-    spec = eigenvalues(m)
+    facts = a if isinstance(a, Facts) else Facts(a)
+    n = facts.n
+    spec = facts.spectrum
     if tol is None:
         tol = 1e-6 * max(1.0, spec.rho**2)
     lam = spec.values
     i0, j0 = np.triu_indices(n, k=1)
     products = lam[i0] * lam[j0]
-    wm = w_matrix(m, w)
-    w_eigs = np.linalg.eigvals(wm.entries) if wm.entries.size else np.zeros(0, dtype=complex)
+    if w is None:
+        entries = facts.compound if n > 1 else np.zeros((0, 0))
+    else:
+        entries = w_matrix(facts.matrix, w).entries
+    w_eigs = np.linalg.eigvals(entries) if entries.size else np.zeros(0, dtype=complex)
     match = match_complex_multisets(products, w_eigs, tol)
     return EigenProductCheck(match.ok, float(tol), match.max_distance, products, w_eigs)

@@ -383,6 +383,14 @@ class TestAnalyzeSharesFacts:
         assert max(by_dimension["imprimitivity_index"].values()) <= 1
         assert max(by_dimension["is_irreducible"].values()) <= 2
 
+    def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
+        calls = count_calls(monkeypatch, "connected_components", "frobenius_form")
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert json.loads(out)["classification"]["theorem"] == "T11"
+        assert calls == {"connected_components": 1, "frobenius_form": 1}
+
 
 class TestGen:
     def test_inline_spec_round_trip(self, run, tmp_path):
@@ -458,6 +466,15 @@ class TestVerifyCorpus:
         assert len(data["failures"]) == 1
         assert data["failures"][0]["index"] == 0
 
+    def test_one_spectrum_and_compound_per_spec(self, run, tmp_path, monkeypatch):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "tp2", "n": 6, "seed": 1}]))
+        calls = count_calls(monkeypatch, "eigenvalues", "compound2", "w_matrix")
+        code, out, _ = run("verify-corpus", str(manifest))
+        assert code == 0
+        assert json.loads(out)["results"][0]["eigenvalue_products_ok"]
+        assert calls == {"eigenvalues": 1, "compound2": 1, "w_matrix": 0}
+
     def test_bad_manifest(self, run, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"specs": []}))
@@ -492,6 +509,23 @@ class TestErrorsAndEnvironment:
         code, _, err = run("signsym", "whatever.csv")
         assert code == 1
         assert "SIGNSPECTRA_THREADS" in err
+
+    @pytest.mark.parametrize("command", ["classify", "analyze", "verify-corpus"])
+    def test_compound_over_dimension_limit(self, run, tmp_path, monkeypatch, command):
+        # The 7-cycle's compound is 21 x 21; with the limit at 20 it stands in
+        # for n >= 78, whose 3003 x 3003 compound exceeds the real limit 3000.
+        monkeypatch.setattr("signspectra.core.MAX_DIMENSION", 20)
+        if command == "verify-corpus":
+            target = tmp_path / "manifest.json"
+            target.write_text(json.dumps([{"kind": "cyclic_h", "n": 7, "h": 7}]))
+            path, prefix = str(target), "error: spec 0: second compound:"
+        else:
+            path, prefix = write_csv(tmp_path, cycle_matrix(7)), "error: second compound:"
+        code, out, err = run(command, path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(prefix)
+        assert "dimension 21 exceeds the supported maximum 20" in err
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("signspectra")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from signspectra.digraph import (
     FrobeniusForm,
@@ -11,14 +15,59 @@ from signspectra.digraph import (
     is_primitive,
 )
 from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks
+from signspectra.spectral import classify
 
-from helpers import EXAMPLE1, cycle_matrix, hungarian_close, kosaraju_components
+from helpers import (
+    EXAMPLE1,
+    count_calls,
+    cycle_matrix,
+    hungarian_close,
+    kosaraju_components,
+)
 
 
 def random_pattern(rng, n, density):
     a = (rng.random((n, n)) < density).astype(float)
     a *= rng.uniform(0.5, 1.5, size=(n, n))
     return a
+
+
+def one_way_pattern(rng, n, sink):
+    """A strongly connected pattern on n - 1 nodes plus one node joined to
+    it by arcs in one direction only (into it for a sink, out of it for a
+    source), under a random relabelling.  Node 0 then reaches every node
+    but not every node reaches node 0, or the reverse."""
+    a = np.zeros((n, n))
+    order = rng.permutation(n - 1)
+    a[order, np.roll(order, -1)] = 1.0
+    a[: n - 1, : n - 1] += random_pattern(rng, n - 1, 0.2)
+    linked = rng.random(n - 1) < 0.5
+    linked[rng.integers(n - 1)] = True
+    if sink:
+        a[: n - 1, n - 1] = linked
+    else:
+        a[n - 1, : n - 1] = linked
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+def scipy_irreducible(a):
+    n_comp, _ = connected_components(
+        csr_matrix(a != 0), directed=True, connection="strong"
+    )
+    return n_comp == 1
+
+
+def cycle_length_gcd(a):
+    """gcd{k <= n : trace(P^k) > 0} by boolean matrix powers of the pattern."""
+    p = (a != 0).astype(np.int64)
+    power = np.eye(a.shape[0], dtype=np.int64)
+    h = 0
+    for k in range(1, a.shape[0] + 1):
+        power = np.minimum(power @ p, 1)
+        if np.trace(power) > 0:
+            h = math.gcd(h, k)
+    return h
 
 
 class TestIrreducibility:
@@ -46,6 +95,61 @@ class TestIrreducibility:
             assert is_irreducible(a) == expected
             seen[expected] += 1
         assert seen[True] > 0 and seen[False] > 0
+
+
+class TestSearchAgainstOracles:
+    def test_random_and_one_way_patterns(self):
+        rng = np.random.default_rng(211)
+        seen = dict.fromkeys(
+            ("irreducible", "reducible", "out_of_0_only", "into_0_only"), 0
+        )
+        for trial in range(600):
+            n = int(rng.integers(2, 11))
+            if trial % 3 == 2:
+                a = random_pattern(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+            else:
+                a = one_way_pattern(rng, n, sink=trial % 3 == 0)
+            closure = np.linalg.matrix_power(
+                np.eye(n, dtype=np.int64) + (a != 0), n - 1
+            ) > 0
+            irreducible = scipy_irreducible(a)
+            assert is_irreducible(a) == irreducible
+            if irreducible:
+                seen["irreducible"] += 1
+                res = imprimitivity_index(a)
+                assert res.h == cycle_length_gcd(a)
+                assert len(res.cyclic_classes) == res.h
+                assert 1 in res.cyclic_classes[0]
+                assert sorted(v for c in res.cyclic_classes for v in c) == list(
+                    range(1, n + 1)
+                )
+                position = np.empty(n, dtype=np.int64)
+                for c, members in enumerate(res.cyclic_classes):
+                    position[np.asarray(members) - 1] = c
+                rows, cols = np.nonzero(a)
+                assert (position[cols] == (position[rows] + 1) % res.h).all()
+            else:
+                seen["reducible"] += 1
+                seen["out_of_0_only"] += bool(closure[0].all())
+                seen["into_0_only"] += bool(closure[:, 0].all())
+                with pytest.raises(ReducibleInputError):
+                    imprimitivity_index(a)
+        assert min(seen.values()) >= 50, seen
+
+
+class TestStrongComponentCalls:
+    def test_t82_classify_labels_no_components(self, monkeypatch):
+        calls = count_calls(monkeypatch, "connected_components", "is_irreducible")
+        c = classify(cyclic_h(7, 7, seed=5))
+        assert c.theorem == "T8.2" and c.verified
+        assert calls == {"connected_components": 0, "is_irreducible": 2}
+
+    def test_imprimitivity_index_does_not_test_irreducibility(self, monkeypatch):
+        calls = count_calls(monkeypatch, "connected_components", "is_irreducible")
+        assert imprimitivity_index(cyclic_h(9, 3, seed=1)).h == 3
+        with pytest.raises(ReducibleInputError):
+            imprimitivity_index(np.array([[1.0, 1.0], [0.0, 2.0]]))
+        assert calls == {"connected_components": 0, "is_irreducible": 0}
 
 
 class TestIrreducibilityPath:

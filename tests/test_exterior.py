@@ -9,6 +9,7 @@ from signspectra.exterior import (
     verify_eigenvalue_products,
     w_matrix,
 )
+from signspectra.spectral import Facts
 from signspectra.wsets import WSet, canonical_m
 
 from helpers import (
@@ -160,6 +161,19 @@ class TestEigenvalueProducts:
         check = verify_eigenvalue_products(a)
         assert check.ok
         assert check.tol == pytest.approx(1e-6 * 100.0**2)
+
+    def test_facts_in_place_of_the_matrix(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 5, 7):
+            a = rng.integers(-5, 6, size=(n, n)).astype(float)
+            for w in (None, random_wset(n, rng)):
+                expected = verify_eigenvalue_products(a, w)
+                got = verify_eigenvalue_products(Facts(a), w)
+                assert (got.ok, got.tol, got.max_distance) == (
+                    expected.ok, expected.tol, expected.max_distance
+                )
+                assert np.array_equal(got.products, expected.products)
+                assert np.array_equal(got.w_eigenvalues, expected.w_eigenvalues)
 
     def test_one_by_one_has_no_products(self):
         check = verify_eigenvalue_products([[4.0]])
