@@ -99,19 +99,28 @@ class SignConstraintGraph:
                 self.odd_cycle,
             )
 
+    def component_index(self) -> np.ndarray:
+        """Component number of each index, 0-based, in the order of
+        `components`."""
+        comp = np.empty(self.n, dtype=np.int64)
+        for k, members in enumerate(self.components):
+            comp[np.asarray(members) - 1] = k
+        return comp
+
+    def flip_rows(self) -> np.ndarray:
+        """All 2^c valid J sets of a consistent graph as a boolean
+        (2^c, n) array: row r is the coloring with every component k whose
+        bit k is set in r flipped, so the rows run in binary-counter order
+        (component of smallest index as the lowest bit)."""
+        self.require_consistent()
+        c = len(self.components)
+        flips = ((np.arange(2**c)[:, None] >> np.arange(c)) & 1).astype(bool)
+        return np.asarray(self.coloring, dtype=bool) ^ flips[:, self.component_index()]
+
     def j_sets(self) -> list[frozenset[int]]:
         """All 2^c valid J sets of a consistent graph, in the order of
-        `enumerate_j_sets`."""
-        self.require_consistent()
-        assert self.coloring is not None
-        out = []
-        for mask in range(2 ** len(self.components)):
-            j: set[int] = set()
-            for k, comp in enumerate(self.components):
-                flip = (mask >> k) & 1
-                j.update(i for i in comp if self.coloring[i - 1] ^ flip == 1)
-            out.append(frozenset(j))
-        return out
+        `flip_rows` and `enumerate_j_sets`."""
+        return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.flip_rows()]
 
 
 def sign_constraint_graph(a) -> SignConstraintGraph:

@@ -9,7 +9,9 @@ order on {1..n}.
 
 `find_transitive_w` decides whether the candidate construction yields a
 transitive W set without listing the candidates; `enumerate_w_candidates`
-lists them all.
+lists them all, as one packed row of C(n,2) orientation bits per (J, Jt)
+combination (about 24 MB at the default cap with n = 77), and builds and
+checks each distinct W set once.  `analyze` prints the first 64 of them.
 """
 
 from __future__ import annotations
@@ -212,28 +214,37 @@ def w_candidates_from_graphs(
         raise TooManyCertificatesError(
             f"{total} candidate (J, Jt) combinations exceed the cap {cap}"
         )
+    # Pair p = (i, j) keeps its natural orientation exactly when
+    # (S[a, i] == S[a, j]) == T[b, p] for the flip rows S of J and T of Jt,
+    # so each (J, Jt) combination, J-major, is one packed row of "reversed"
+    # bits (S[a, i] == S[a, j]) ^ T[b, p].  n = 1 has no pairs, so its rows
+    # have width 0, and one trivial pair-level certificate.
+    s = graph_a.flip_rows()
+    t = graph_c.flip_rows() if graph_c else np.zeros((1, 0), dtype=bool)
+    i, j = np.triu_indices(n, k=1)
+    keys = np.packbits(s[:, i] == s[:, j], axis=1)[:, None] ^ np.packbits(t, axis=1)
+    keys = keys.reshape(len(s) * len(t), keys.shape[2])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # np.unique sorts the distinct rows; rank them by first occurrence.
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    group = rank[inverse.reshape(-1)]
+    groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+
     j_sets = graph_a.j_sets()
-    # n = 1 has no pairs and one trivial pair-level certificate.
     jt_sets = graph_c.j_sets() if graph_c else [frozenset()]
-
-    by_key: dict[bytes, list[tuple[frozenset[int], frozenset[int]]]] = {}
-    reps: dict[bytes, WSet] = {}
-    for js in j_sets:
-        for jts in jt_sets:
-            w = build_w_hat(js, jts, n)
-            key = w.member.tobytes()
-            by_key.setdefault(key, []).append((js, jts))
-            reps.setdefault(key, w)
-
     candidates = []
-    for key, pairs in by_key.items():
-        w = reps[key]
+    for ks in groups:
+        keep = np.unpackbits(keys[ks[0]], count=i.size) == 0
+        member = np.eye(n, dtype=bool)
+        member[i, j] = keep
+        member[j, i] = ~keep
+        w = WSet(n, member)
         check = is_transitive(w)
-        candidates.append(
-            WCandidate(w, check.transitive, check.witness, check.order, tuple(pairs))
-        )
+        pairs = tuple((j_sets[k // len(t)], jt_sets[k % len(t)]) for k in ks.tolist())
+        candidates.append(WCandidate(w, check.transitive, check.witness, check.order, pairs))
     exists = any(c.transitive for c in candidates)
-    return WCandidateEnumeration(tuple(candidates), exists, len(j_sets), len(jt_sets))
+    return WCandidateEnumeration(tuple(candidates), exists, len(s), len(t))
 
 
 def find_transitive_w(
@@ -267,8 +278,9 @@ def find_transitive_w(
             "need the graphs of an n x n matrix, n >= 2, and of its"
             f" C(n,2) x C(n,2) compound; got sizes {graph_a.n} and {graph_c.n}"
         )
-    comp_a, colour_a = _component_arrays(graph_a)
-    comp_c, colour_c = _component_arrays(graph_c)
+    comp_a, comp_c = graph_a.component_index(), graph_c.component_index()
+    colour_a = np.asarray(graph_a.coloring, dtype=np.int8)
+    colour_c = np.asarray(graph_c.coloring, dtype=np.int8)
     ca = len(graph_a.components)
 
     # Variable k is f_k and variable ca + k is g_k.  A literal is an
@@ -320,14 +332,6 @@ def find_transitive_w(
     if not is_transitive(build_w_hat(j_set, jt_set, n)).transitive:
         raise AssertionError("constraint solution did not build a transitive W set")
     return j_set, jt_set
-
-
-def _component_arrays(graph: SignConstraintGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Component number and colour of each index, 0-based."""
-    comp = np.empty(graph.n, dtype=np.int64)
-    for k, members in enumerate(graph.components):
-        comp[np.asarray(members) - 1] = k
-    return comp, np.asarray(graph.coloring, dtype=np.int8)
 
 
 def _triangle_sides(n: int, i: np.ndarray, j: np.ndarray):

@@ -200,3 +200,57 @@ def count_calls_by_dimension(monkeypatch, *names: str) -> dict[str, Counter]:
 
     _wrap_calls(monkeypatch, names, record)
     return counts
+
+
+def reference_j_sets(graph) -> list[frozenset[int]]:
+    """The 2^c valid J sets of a consistent sign-constraint graph, one mask
+    and one component at a time, in binary-counter order (component of
+    smallest index as the lowest bit)."""
+    out = []
+    for mask in range(2 ** len(graph.components)):
+        j: set[int] = set()
+        for k, comp in enumerate(graph.components):
+            flip = (mask >> k) & 1
+            j.update(i for i in comp if graph.coloring[i - 1] ^ flip == 1)
+        out.append(frozenset(j))
+    return out
+
+
+def reference_w_candidates(graph_a, graph_c, cap: int):
+    """The W listing built one (J, Jt) combination at a time with
+    `build_w_hat`, grouped by orientation in order of first occurrence."""
+    from signspectra.signsym import TooManyCertificatesError
+    from signspectra.wsets import (
+        WCandidate,
+        WCandidateEnumeration,
+        build_w_hat,
+        is_transitive,
+    )
+
+    graph_a.require_consistent()
+    components = len(graph_a.components)
+    if graph_c is not None:
+        graph_c.require_consistent()
+        components += len(graph_c.components)
+    if 2**components > cap:
+        raise TooManyCertificatesError(
+            f"{2**components} candidate (J, Jt) combinations exceed the cap {cap}"
+        )
+    j_sets = reference_j_sets(graph_a)
+    jt_sets = reference_j_sets(graph_c) if graph_c else [frozenset()]
+    by_key: dict[bytes, list] = {}
+    reps = {}
+    for js in j_sets:
+        for jts in jt_sets:
+            w = build_w_hat(js, jts, graph_a.n)
+            key = w.member.tobytes()
+            by_key.setdefault(key, []).append((js, jts))
+            reps.setdefault(key, w)
+    candidates = []
+    for key, pairs in by_key.items():
+        check = is_transitive(reps[key])
+        candidates.append(
+            WCandidate(reps[key], check.transitive, check.witness, check.order, tuple(pairs))
+        )
+    exists = any(c.transitive for c in candidates)
+    return WCandidateEnumeration(tuple(candidates), exists, len(j_sets), len(jt_sets))

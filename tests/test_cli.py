@@ -1,14 +1,16 @@
+import gzip
 import json
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from signspectra.cli import format_matrix_csv, main, parse_matrix_text
 from signspectra.digraph import imprimitivity_index
-from signspectra.gen import reducible_blocks, scrambled, tp2
+from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 
 from helpers import (
     EXAMPLE1,
@@ -379,9 +381,10 @@ class TestAnalyzeSharesFacts:
             "eigenvalues": 1, "frobenius_form": 1,
         }
         assert transitive <= 1
-        # One call from the facts, one as imprimitivity_index's precondition.
+        # Only the facts call these, at most once per matrix; A and its
+        # compound differ in size, so each dimension counts one matrix.
         assert max(by_dimension["imprimitivity_index"].values()) <= 1
-        assert max(by_dimension["is_irreducible"].values()) <= 2
+        assert max(by_dimension["is_irreducible"].values()) <= 1
 
     def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
@@ -390,6 +393,35 @@ class TestAnalyzeSharesFacts:
         assert code == 0
         assert json.loads(out)["classification"]["theorem"] == "T11"
         assert calls == {"connected_components": 1, "frobenius_form": 1}
+
+
+# Gzipped `wsets` stdout for these inputs, recorded with the one-combination-
+# at-a-time listing that the packed listing must reproduce byte for byte.  It
+# holds only integers and booleans, so it does not depend on the BLAS build.
+WSETS_GOLDEN = {
+    "t11-blocks": ANALYZE_INPUTS["t11-blocks"],
+    "cyclic_h-12-11": cyclic_h(12, 11),
+}
+
+
+class TestWsetsListing:
+    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
+    def test_output_matches_recorded(self, run, tmp_path, name):
+        code, out, _ = run("wsets", write_csv(tmp_path, WSETS_GOLDEN[name]))
+        assert code == 0
+        recorded = Path(__file__).parent / "data" / f"wsets_{name}.json.gz"
+        assert out.encode() == gzip.decompress(recorded.read_bytes())
+
+    def test_checks_each_distinct_w_set_once(self, run, tmp_path, monkeypatch):
+        # 8 x 512 (J, Jt) combinations build 512 distinct W sets.
+        path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
+        calls = count_calls(monkeypatch, "is_transitive", "build_w_hat")
+        code, out, _ = run("wsets", path)
+        assert code == 0
+        listing = json.loads(out)
+        assert listing["j_count"] * listing["jt_count"] == 4096
+        assert listing["unique_w_sets"] == 512
+        assert calls == {"is_transitive": 512, "build_w_hat": 0}
 
 
 class TestGen:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,9 +22,16 @@ from signspectra.wsets import (
     enumerate_w_candidates,
     find_transitive_w,
     is_transitive,
+    w_candidates_from_graphs,
 )
 
-from helpers import EXAMPLE1, cycle_matrix, random_wset
+from helpers import (
+    EXAMPLE1,
+    cycle_matrix,
+    random_wset,
+    reference_j_sets,
+    reference_w_candidates,
+)
 
 
 class TestWSet:
@@ -248,6 +257,103 @@ class TestEnumerateCandidates:
         with pytest.raises(TooManyCertificatesError, match="131072"):
             enumerate_w_candidates(cycle_matrix(33))
         assert listed == []
+
+
+def assert_listing_matches_reference(graph_a, graph_c, cap=2**12):
+    """The packed listing equals the per-combination reference field by
+    field and in order, errors included; so does each graph's `j_sets()`."""
+    try:
+        expected = reference_w_candidates(graph_a, graph_c, cap)
+    except (NotSignSymmetricError, TooManyCertificatesError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            w_candidates_from_graphs(graph_a, graph_c, cap)
+        return
+    got = w_candidates_from_graphs(graph_a, graph_c, cap)
+    assert len(got.candidates) == len(expected.candidates)
+    for cand, ref in zip(got.candidates, expected.candidates):
+        assert np.array_equal(cand.w.member, ref.w.member)
+        assert cand.generating_pairs == ref.generating_pairs
+        assert cand.transitive == ref.transitive
+        assert cand.witness == ref.witness
+        assert cand.order == ref.order
+    assert got.j_count == expected.j_count
+    assert got.jt_count == expected.jt_count
+    assert got.exists_transitive == expected.exists_transitive
+    for graph in (graph_a, graph_c):
+        if graph is not None:
+            assert graph.j_sets() == reference_j_sets(graph)
+
+
+def matrix_graphs(a):
+    a = np.asarray(a, dtype=float)
+    graph_c = sign_constraint_graph(compound2(a)) if a.shape[0] > 1 else None
+    return sign_constraint_graph(a), graph_c
+
+
+def with_twins(bases, seed):
+    return [m for t, base in enumerate(bases) for m in (base, scrambled(base, seed=seed + t))]
+
+
+STABLE_ODD_CELLS = [(5, 5), (7, 7), (9, 9), (11, 11), (4, 3), (6, 5), (8, 7), (10, 9), (12, 11)]
+
+
+class TestListingMatchesReference:
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_any_component_structure(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        graphs = []
+        for size, most in ((n, 4), (pair_count(n), 8)):
+            labels = rng.integers(0, int(rng.integers(1, most + 1)), size=size)
+            components = tuple(
+                tuple(int(v) + 1 for v in np.nonzero(labels == k)[0])
+                for k in np.unique(labels)
+            )
+            colouring = tuple(int(v) for v in rng.integers(0, 2, size=size))
+            graphs.append(SignConstraintGraph(size, True, components, colouring, None))
+        assert_listing_matches_reference(graphs[0], graphs[1] if n > 1 else None)
+
+    @pytest.mark.parametrize("a", [np.array([[2.0]]), np.array([[0.0]]), np.array([[-1.0]])])
+    def test_n_one(self, a):
+        assert_listing_matches_reference(*matrix_graphs(a))
+
+    @pytest.mark.parametrize(
+        "a", [np.eye(2), np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+              np.array([[1.0, -2.0], [-3.0, 0.5]]), np.zeros((2, 2))]
+    )
+    def test_n_two(self, a):
+        assert_listing_matches_reference(*matrix_graphs(a))
+
+    def test_criterion_07_cells(self):
+        bases = [cyclic_h(n, h, seed=10 * n + h) for n in range(1, 13) for h in range(1, n + 1)]
+        for a in with_twins(bases, 700):
+            assert_listing_matches_reference(*matrix_graphs(a))
+
+    def test_criterion_08_odd_cycles(self):
+        bases = [cyclic_h(n, h, seed=i) for i, (n, h) in enumerate(STABLE_ODD_CELLS)]
+        for a in with_twins(bases, 800):
+            assert_listing_matches_reference(*matrix_graphs(a))
+
+    def test_criterion_09_doubly_positive(self):
+        for a in with_twins([tp2(3 + i % 3, seed=i) for i in range(9)], 900):
+            assert_listing_matches_reference(*matrix_graphs(a))
+
+    def test_criterion_10_block_diagonal(self):
+        rng = np.random.default_rng(20260404)
+        pool = [cycle_matrix(3), cycle_matrix(5), cycle_matrix(7), tp2(3, seed=9)]
+        bases = []
+        for _ in range(8):
+            picks = rng.integers(0, len(pool), size=int(rng.integers(2, 4)))
+            bases.append(reducible_blocks([pool[p] for p in picks]))
+        for a in with_twins(bases, 1000):
+            assert_listing_matches_reference(*matrix_graphs(a))
+
+    def test_criterion_11_scramble_families(self):
+        bases = [nonneg_irreducible(2 + i % 6, density=0.3, seed=3200 + i) for i in range(10)]
+        bases += [reducible_blocks([cycle_matrix(3), cycle_matrix(5)]), EXAMPLE1]
+        for a in with_twins(bases, 1100):
+            assert_listing_matches_reference(*matrix_graphs(a))
 
 
 CYCLIC_CELLS = [(n, h) for n in range(2, 13) for h in range(1, n + 1)]
