@@ -14,6 +14,7 @@ imports happen inside the command handlers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -463,6 +464,7 @@ def cmd_verify_corpus(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="signspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

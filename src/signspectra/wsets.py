@@ -10,8 +10,9 @@ order on {1..n}.
 `find_transitive_w` decides whether the candidate construction yields a
 transitive W set without listing the candidates; `enumerate_w_candidates`
 lists them all, as one packed row of C(n,2) orientation bits per (J, Jt)
-combination (about 24 MB at the default cap with n = 77), and builds and
-checks each distinct W set once.  `analyze` prints the first 64 of them.
+combination (about 24 MB at the default cap with n = 77), groups equal rows
+in order of first occurrence, and checks the distinct W sets for
+transitivity in one batched pass.  `analyze` prints the first 64 of them.
 """
 
 from __future__ import annotations
@@ -107,23 +108,33 @@ class TransitivityCheck:
 
 
 def is_transitive(w: WSet) -> TransitivityCheck:
-    """Test transitivity of a W set and extract the total order or a witness.
+    """Test transitivity of a W set and extract the total order or a witness."""
+    return _check_transitivity(w.member[None])[0]
+
+
+def _check_transitivity(members: np.ndarray) -> list[TransitivityCheck]:
+    """`is_transitive` for each grid of a (G, n, n) stack of W-set members.
 
     By Landau's score-sequence theorem a tournament is transitive exactly
-    when its out-degrees are distinct; with the diagonal counted, the row
-    sums of a total order are then n, n-1, ..., 1 from least to greatest.
-    """
-    m = w.member
-    sigma = w.n + 1 - m.sum(axis=1)
-    if np.array_equal(np.sort(sigma), np.arange(1, w.n + 1)):
-        order = Permutation(tuple(int(v) for v in sigma))
-        if not np.array_equal(m, sigma[:, None] <= sigma[None, :]):
-            raise AssertionError("transitive W set did not reconstruct from its order")
-        return TransitivityCheck(True, None, order)
-    reach2 = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-    i0, k0 = np.argwhere(reach2 & ~m)[0]
-    j0 = int(np.nonzero(m[i0] & m[:, k0])[0][0])
-    return TransitivityCheck(False, (int(i0) + 1, j0 + 1, int(k0) + 1), None)
+    when its out-degrees are distinct: with the diagonal counted, its row
+    sums are then n, ..., 1.  A witness (i, j, k) takes the row-major-first
+    (i, k), then the least j."""
+    n = members.shape[1]
+    sigma = n + 1 - members.sum(axis=2)
+    transitive = (np.sort(sigma, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    orders = sigma[transitive]
+    if not np.array_equal(members[transitive], orders[:, :, None] <= orders[:, None, :]):
+        raise AssertionError("transitive W set did not reconstruct from its order")
+    bad = members[~transitive]
+    g = np.arange(len(bad))
+    # A boolean matmul, since an integer count of two-step paths can wrap.
+    i0, k0 = np.divmod((np.matmul(bad, bad) & ~bad).reshape(g.size, n * n).argmax(axis=1), n)
+    witnesses = iter(np.column_stack([i0, (bad[g, i0] & bad[g, :, k0]).argmax(axis=1), k0]) + 1)
+    return [
+        TransitivityCheck(True, None, Permutation(tuple(s)))
+        if t else TransitivityCheck(False, tuple(next(witnesses).tolist()), None)
+        for t, s in zip(transitive.tolist(), sigma.tolist())
+    ]
 
 
 def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
@@ -224,25 +235,21 @@ def w_candidates_from_graphs(
     i, j = np.triu_indices(n, k=1)
     keys = np.packbits(s[:, i] == s[:, j], axis=1)[:, None] ^ np.packbits(t, axis=1)
     keys = keys.reshape(len(s) * len(t), keys.shape[2])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    # np.unique sorts the distinct rows; rank them by first occurrence.
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    group = rank[inverse.reshape(-1)]
-    groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    # Group equal rows in order of first occurrence, each in increasing order.
+    raw, width = keys.tobytes(), keys.shape[1]
+    groups: dict[bytes, list[int]] = {}
+    for k in range(len(keys)):
+        groups.setdefault(raw[k * width:(k + 1) * width], []).append(k)
+    keep = np.unpackbits(keys[[ks[0] for ks in groups.values()]], axis=1, count=i.size) == 0
+    members = np.repeat(np.eye(n, dtype=bool)[None], len(groups), axis=0)
+    members[:, i, j], members[:, j, i] = keep, ~keep
 
-    j_sets = graph_a.j_sets()
     jt_sets = graph_c.j_sets() if graph_c else [frozenset()]
-    candidates = []
-    for ks in groups:
-        keep = np.unpackbits(keys[ks[0]], count=i.size) == 0
-        member = np.eye(n, dtype=bool)
-        member[i, j] = keep
-        member[j, i] = ~keep
-        w = WSet(n, member)
-        check = is_transitive(w)
-        pairs = tuple((j_sets[k // len(t)], jt_sets[k % len(t)]) for k in ks.tolist())
-        candidates.append(WCandidate(w, check.transitive, check.witness, check.order, pairs))
+    pairs = [(js, jts) for js in graph_a.j_sets() for jts in jt_sets]
+    candidates = [
+        WCandidate(WSet(n, w), c.transitive, c.witness, c.order, tuple(pairs[k] for k in ks))
+        for w, c, ks in zip(members, _check_transitivity(members), groups.values())
+    ]
     exists = any(c.transitive for c in candidates)
     return WCandidateEnumeration(tuple(candidates), exists, len(s), len(t))
 

@@ -412,16 +412,27 @@ class TestWsetsListing:
         recorded = Path(__file__).parent / "data" / f"wsets_{name}.json.gz"
         assert out.encode() == gzip.decompress(recorded.read_bytes())
 
+    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
+    def test_analyze_section_matches_recorded(self, run, tmp_path, name):
+        code, out, _ = run("analyze", write_csv(tmp_path, WSETS_GOLDEN[name]))
+        assert code == 0
+        section = json.dumps(json.loads(out)["w_candidates"], indent=2) + "\n"
+        recorded = Path(__file__).parent / "data" / f"analyze_w_candidates_{name}.json.gz"
+        assert section.encode() == gzip.decompress(recorded.read_bytes())
+
     def test_checks_each_distinct_w_set_once(self, run, tmp_path, monkeypatch):
-        # 8 x 512 (J, Jt) combinations build 512 distinct W sets.
+        # 8 x 512 (J, Jt) combinations build 512 distinct W sets, checked as
+        # one (512, 15, 15) stack; `is_transitive` would be a batch of 1.
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
         calls = count_calls(monkeypatch, "is_transitive", "build_w_hat")
+        batches = count_calls_by_dimension(monkeypatch, "_check_transitivity")
         code, out, _ = run("wsets", path)
         assert code == 0
         listing = json.loads(out)
         assert listing["j_count"] * listing["jt_count"] == 4096
         assert listing["unique_w_sets"] == 512
-        assert calls == {"is_transitive": 512, "build_w_hat": 0}
+        assert batches == {"_check_transitivity": {512: 1}}
+        assert calls == {"is_transitive": 0, "build_w_hat": 0}
 
 
 class TestGen:
@@ -535,6 +546,39 @@ class TestErrorsAndEnvironment:
     def test_no_arguments(self, run):
         code, _, err = run()
         assert code == 1
+
+    def test_parser_built_once_and_reused(self, run, tmp_path, monkeypatch):
+        from signspectra import cli, spectral
+
+        cli.build_parser.cache_clear()
+        original = spectral.classify
+        tolerances = []
+
+        def recording(a, **kwargs):
+            tolerances.append(kwargs)
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(spectral, "classify", recording)
+        path = write_csv(tmp_path, EXAMPLE1)
+        code, out, _ = run("analyze", "--cap", "7", path)
+        assert code == 0
+        assert json.loads(out)["tolerances"]["candidate_cap"] == 7
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert json.loads(out)["tolerances"]["candidate_cap"] == 65536
+        assert "error" not in json.loads(out)["w_candidates"]
+        tolerances.clear()
+        assert run("classify", "--rel-tol", "1e-3", path)[0] == 0
+        assert run("classify", path)[0] == 0
+        assert tolerances == [
+            {"rel_tol": 1e-3, "peripheral_tol": 1e-6},
+            {"rel_tol": 1e-6, "peripheral_tol": 1e-6},
+        ]
+        code, out, err = run("classify", "--rel-tol", "x", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: signspectra classify")
+        assert run("signsym", path)[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_thread_env_validation(self, run, monkeypatch):
         monkeypatch.setenv("SIGNSPECTRA_THREADS", "zero")

@@ -17,6 +17,7 @@ from signspectra.signsym import (
 )
 from signspectra.wsets import (
     WSet,
+    _check_transitivity,
     build_w_hat,
     canonical_m,
     enumerate_w_candidates,
@@ -111,6 +112,68 @@ class TestTransitivity:
             i, j, k = check.witness
             assert w.contains(i, j) and w.contains(j, k)
             assert not w.contains(i, k)
+
+    def test_witness_past_255_two_step_paths(self):
+        # A 300-element total order with the pair (1, 258) reversed: 256
+        # two-step paths lead from 1 to 258, a count that wraps to 0 in uint8.
+        n = 300
+        member = np.triu(np.ones((n, n), dtype=bool))
+        member[0, 257], member[257, 0] = False, True
+        check = is_transitive(WSet(n, member))
+        assert not check.transitive
+        assert check.witness == (1, 2, 258)
+
+
+def triple_oracle(member: np.ndarray):
+    """(transitive, witness) of a W set by trying every triple: the witness
+    has the row-major-first (i, k) outside the set that some j joins, and the
+    least such j."""
+    n = len(member)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                if not member[i, k] and member[i, j] and member[j, k]:
+                    return False, (i + 1, j + 1, k + 1)
+    return True, None
+
+
+def tournament_stack(seed: int) -> np.ndarray:
+    """A (G, n, n) stack of W-set members, n 1-9, mixing total orders, total
+    orders with one pair reversed, and uniformly random orientations."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    stack = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.integers(3)
+        if kind == 2:
+            stack.append(random_wset(n, rng).member)
+            continue
+        sigma = rng.permutation(n)
+        member = sigma[:, None] <= sigma[None, :]
+        if kind == 1 and n >= 2:
+            a, b = rng.choice(n, size=2, replace=False)
+            member[a, b], member[b, a] = member[b, a], member[a, b]
+        stack.append(member)
+    return np.array(stack)
+
+
+class TestBatchedTransitivity:
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_triple_oracle(self, seed):
+        stack = tournament_stack(seed)
+        checks = _check_transitivity(stack)
+        assert len(checks) == len(stack)
+        for member, check in zip(stack, checks):
+            transitive, witness = triple_oracle(member)
+            assert check.transitive == transitive
+            assert check.witness == witness
+            if transitive:
+                sigma = np.asarray(check.order.images)
+                assert np.array_equal(member, sigma[:, None] <= sigma[None, :])
+            else:
+                assert check.order is None
+            assert check == is_transitive(WSet(len(member), member))
 
 
 class TestBuildWHat:
