@@ -6,6 +6,11 @@ header) or JSON ({"n": ..., "rows": [[...]]}); the format is inferred from
 the extension unless --format says otherwise.  Exit codes: 0 success, 1
 input or usage error, 2 verification failure.
 
+Every JSON report (stdout, the counterexample bundle on stderr, and the
+JSON matrix that `compound` and `gen` write) is indented by two spaces
+with non-ASCII characters escaped: byte for byte the text that
+`json.dumps` writes with indent=2.
+
 The environment variable SIGNSPECTRA_THREADS, when set, pins the BLAS
 thread pools before numpy is first imported; for that reason the heavy
 imports happen inside the command handlers.
@@ -118,6 +123,47 @@ def read_matrix(path: str, fmt: str):
     return parse_matrix_text(text, fmt), fmt
 
 
+# `json.dumps` with an indent runs the pure-Python encoder on CPython 3.10
+# and 3.11, whose C encoder cannot indent.  _dumps writes the same text but
+# hands every scalar, and every list of numbers, booleans and nulls, to the C
+# encoder in one call, then breaks such a list onto indented lines at its
+# ", " separators: no number, boolean or null contains ", ".
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_flat = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _encode_str, None, ": ", ", ", False, False, True
+)
+_FLAT_TYPES = frozenset({int, float, bool, type(None)})
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """The text of `json.dumps` with indent=2, byte for byte, for a tree of
+    dicts with str keys, lists, tuples and JSON scalars; `pad` is the
+    newline and indentation that precede the closing bracket of `obj`.  A
+    key of any other type raises TypeError."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if _FLAT_TYPES.issuperset(map(type, obj)):
+            body = "".join(_encode_flat(obj, 0))[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "".join(_encode_flat(obj, 0))
+
+
 def _fmt_entry(v: float) -> str:
     f = float(v)
     if f == int(f) and abs(f) < 1e15:
@@ -141,7 +187,7 @@ def format_matrix_json(m) -> str:
         "n": int(m.shape[0]),
         "rows": [[_json_entry(v) for v in row] for row in m],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps(payload) + "\n"
 
 
 def _emit_matrix(m, fmt: str, out_path: str | None) -> None:
@@ -154,7 +200,7 @@ def _emit_matrix(m, fmt: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _complex_list(values) -> list[dict]:
@@ -202,14 +248,17 @@ def _frobenius_blocks(form) -> list[dict]:
     ]
 
 
-def _compound_limit_error(exc: ValueError) -> CliInputError:
+def _compound_error(exc: ValueError) -> CliInputError:
     """The input error for a matrix whose second compound exceeds a size
-    limit: the only ValueError the analysis stages raise on a matrix that
-    `read_matrix` accepted (C(n,2) > MAX_DIMENSION from n = 78 on)."""
+    limit (C(n,2) > MAX_DIMENSION from n = 78 on) or has minors that
+    overflow: the only ValueErrors the analysis stages raise on a matrix
+    that `read_matrix` accepted."""
     return CliInputError(f"second compound: {exc}")
 
 
 def cmd_compound(args) -> int:
+    import numpy as np
+
     from .exterior import compound2
 
     m, fmt = read_matrix(args.path, args.format)
@@ -217,6 +266,8 @@ def cmd_compound(args) -> int:
         c2 = compound2(m)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
+    if not np.isfinite(c2).all():
+        raise CliInputError("second compound: matrix entries must be finite")
     _emit_matrix(c2, fmt, args.out)
     return 0
 
@@ -284,10 +335,10 @@ def cmd_classify(args) -> int:
     try:
         c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
     except ValueError as exc:
-        raise _compound_limit_error(exc) from exc
+        raise _compound_error(exc) from exc
     _emit_json(_spectral_report(c))
     if not c.verified:
-        sys.stderr.write(json.dumps(counterexample_bundle(m, c), indent=2) + "\n")
+        sys.stderr.write(_dumps(counterexample_bundle(m, c)) + "\n")
         return 2
     return 0
 
@@ -302,7 +353,7 @@ def cmd_analyze(args) -> int:
     try:
         graph_c = facts.graph_c
     except ValueError as exc:
-        raise _compound_limit_error(exc) from exc
+        raise _compound_error(exc) from exc
 
     sign_matrix = _signsym_section(facts.graph_a)
     sign_compound = None if graph_c is None else _signsym_section(graph_c)
@@ -382,7 +433,7 @@ def cmd_analyze(args) -> int:
     }
     _emit_json(report)
     if not c.verified:
-        sys.stderr.write(json.dumps(counterexample_bundle(m, c), indent=2) + "\n")
+        sys.stderr.write(_dumps(counterexample_bundle(m, c)) + "\n")
         return 2
     return 0
 
@@ -443,7 +494,7 @@ def cmd_verify_corpus(args) -> int:
             )
             products = verify_eigenvalue_products(facts)
         except ValueError as exc:
-            raise CliInputError(f"spec {index}: {_compound_limit_error(exc)}") from exc
+            raise CliInputError(f"spec {index}: {_compound_error(exc)}") from exc
         ok = c.verified and products.ok
         results.append(
             {

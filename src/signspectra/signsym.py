@@ -135,15 +135,14 @@ def sign_constraint_graph(a) -> SignConstraintGraph:
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     rows, cols = np.nonzero(m)
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        if u == v:
-            continue
-        parity = 0 if m[u, v] > 0 else 1
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    for u, v, parity in zip(rows.tolist(), cols.tolist(), (m[rows, cols] < 0).tolist()):
         adj[u].append((v, parity))
         adj[v].append((u, parity))
 
-    color = np.full(n, -1, dtype=np.int8)
-    parent = np.full(n, -1, dtype=np.int64)
+    color = [-1] * n
+    parent = [-1] * n
     components: list[tuple[int, ...]] = []
     for start in range(n):
         if color[start] != -1:
@@ -165,29 +164,27 @@ def sign_constraint_graph(a) -> SignConstraintGraph:
                     return SignConstraintGraph(n, False, (), None, cycle)
         components.append(tuple(sorted(i + 1 for i in comp)))
 
-    return SignConstraintGraph(
-        n, True, tuple(components), tuple(int(c) for c in color), None
-    )
+    return SignConstraintGraph(n, True, tuple(components), tuple(color), None)
 
 
-def _conflict_cycle(u: int, v: int, parent: np.ndarray) -> tuple[int, ...]:
+def _conflict_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     """Close the tree paths of u and v through their lowest common ancestor."""
     ancestors = {}
     node = u
     while node != -1:
         ancestors[node] = len(ancestors)
-        node = int(parent[node])
+        node = parent[node]
     node = v
     path_v = []
     while node not in ancestors:
         path_v.append(node)
-        node = int(parent[node])
+        node = parent[node]
     lca = node
     path_u = []
     node = u
     while node != lca:
         path_u.append(node)
-        node = int(parent[node])
+        node = parent[node]
     cycle = path_u + [lca] + list(reversed(path_v))
     return tuple(i + 1 for i in cycle)
 

@@ -62,14 +62,23 @@ class WSet:
         m = np.asarray(self.member, dtype=bool)
         if m.shape != (self.n, self.n):
             raise ValueError(f"member grid must be {self.n}x{self.n}, got {m.shape}")
-        if not (m | m.T).all():
-            raise ValueError("every pair (i, j) or its reverse must be a member")
-        if not np.array_equal(m & m.T, np.eye(self.n, dtype=bool)):
-            raise ValueError(
-                "exactly the diagonal pairs may be members in both directions"
-            )
+        _check_members(m[None])
         object.__setattr__(self, "member", m)
         m.setflags(write=False)
+
+    @classmethod
+    def _from_stack(cls, members: np.ndarray) -> list[WSet]:
+        """One W set per grid of a boolean (G, n, n) stack, validated by one
+        batched test instead of one test per set."""
+        _check_members(members)
+        members.setflags(write=False)
+        sets = []
+        for m in members:
+            w = object.__new__(cls)
+            object.__setattr__(w, "n", members.shape[1])
+            object.__setattr__(w, "member", m)
+            sets.append(w)
+        return sets
 
     def contains(self, i: int, j: int) -> bool:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -84,6 +93,16 @@ class WSet:
         out = np.column_stack([rows, cols]) + 1
         out.setflags(write=False)
         return out
+
+
+def _check_members(members: np.ndarray) -> None:
+    """Raise ValueError unless every grid of a boolean (G, n, n) stack
+    satisfies the two defining conditions of a W set."""
+    reverse = members.transpose(0, 2, 1)
+    if not (members | reverse).all():
+        raise ValueError("every pair (i, j) or its reverse must be a member")
+    if not ((members & reverse) == np.eye(members.shape[1], dtype=bool)).all():
+        raise ValueError("exactly the diagonal pairs may be members in both directions")
 
 
 def canonical_m(n: int) -> WSet:
@@ -247,8 +266,10 @@ def w_candidates_from_graphs(
     jt_sets = graph_c.j_sets() if graph_c else [frozenset()]
     pairs = [(js, jts) for js in graph_a.j_sets() for jts in jt_sets]
     candidates = [
-        WCandidate(WSet(n, w), c.transitive, c.witness, c.order, tuple(pairs[k] for k in ks))
-        for w, c, ks in zip(members, _check_transitivity(members), groups.values())
+        WCandidate(w, c.transitive, c.witness, c.order, tuple(pairs[k] for k in ks))
+        for w, c, ks in zip(
+            WSet._from_stack(members), _check_transitivity(members), groups.values()
+        )
     ]
     exists = any(c.transitive for c in candidates)
     return WCandidateEnumeration(tuple(candidates), exists, len(s), len(t))

@@ -28,21 +28,12 @@ from helpers import (
     EXAMPLE1_COMPOUND,
     EXAMPLE1_COMPOUND_CSV,
     EXAMPLE1_COMPOUND_J_SETS,
+    STABLE_ODD_CELLS,
     brute_force_j_sets,
     cycle_matrix,
     hungarian_close,
     random_wset,
 )
-
-# Cyclic generator cells whose compound sign pattern does not depend on the
-# drawn weights: index h equal to n (all classes singletons) or n = h + 1
-# (the single two-node class has singleton neighbours).  Larger classes sit
-# next to each other and their four-entry minors change sign with the
-# weights, so those cells route differently from seed to seed.
-STABLE_ODD_CELLS = [
-    (5, 5), (7, 7), (9, 9), (11, 11),
-    (4, 3), (6, 5), (8, 7), (10, 9), (12, 11),
-]
 
 FIFTH_ROOTS = np.exp(2j * np.pi * np.arange(5) / 5)
 

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from signspectra import cli
 from signspectra.cli import format_matrix_csv, main, parse_matrix_text
 from signspectra.digraph import imprimitivity_index
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
@@ -109,6 +112,16 @@ class TestCompound:
         code, _, err = run("compound", path)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("writer", [write_csv, write_json_matrix])
+    def test_overflowing_minors_are_input_error(self, run, tmp_path, writer):
+        # Finite entries whose 2 x 2 minors overflow to inf - inf = NaN.
+        path = writer(tmp_path, [[1e200, 2e200, 0.0], [3e200, 4e200, 1.0], [0.0, 1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run("compound", path)
+            assert (code, out) == (1, "")
+            assert err == "error: second compound: matrix entries must be finite\n"
+            assert run("classify", path) == (1, "", err)
 
 
 class TestSignsym:
@@ -433,6 +446,66 @@ class TestWsetsListing:
         assert listing["unique_w_sets"] == 512
         assert batches == {"_check_transitivity": {512: 1}}
         assert calls == {"is_transitive": 0, "build_w_hat": 0}
+
+
+_TRICKY_TEXT = st.lists(
+    st.sampled_from([", ", ": ", ",", "[", "]", "{", "}", '"', "\n", "\\", "e\u0301",
+                     "\u00e9", "\u6f22", "\U0001f600", "\x00", "null", "1, 2"])
+).map("".join)
+_JSON_TEXT = st.text() | _TRICKY_TEXT
+_JSON_FLAT = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80).flatmap(lambda v: st.sampled_from([v, -v]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
+)
+_JSON_TREES = st.recursive(
+    _JSON_FLAT | _JSON_TEXT | st.lists(_JSON_FLAT) | st.lists(_JSON_FLAT).map(tuple),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [{1: "x"}, {"a": [{None: 1}]}, {"a": {2.5: []}}])
+    def test_non_str_key_raises(self, obj):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._dumps(obj)
+
+    def test_every_command_writes_what_json_dumps_writes(self, run, tmp_path, monkeypatch):
+        example = write_csv(tmp_path, EXAMPLE1, "example.csv")
+        blocks = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"], "blocks.csv")
+        conflicted = write_csv(tmp_path, [[0.0, 1.0], [-1.0, 0.0]], "conflicted.csv")
+        twin = write_json_matrix(tmp_path, scrambled(tp2(5, seed=2), seed=3), "twin.json")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"kind": "tp2", "n": 4, "seed": 1},
+            {"kind": "scrambled", "seed": 3, "base": {"kind": "cyclic_h", "n": 6, "h": 3}},
+        ]))
+        invocations = [
+            ("analyze", example), ("analyze", blocks), ("analyze", conflicted),
+            ("analyze", twin), ("analyze", twin, "--rel-tol", "-1"),
+            ("classify", example), ("classify", twin), ("classify", example, "--rel-tol", "-1"),
+            ("compound", twin, "--format", "json"),
+            ("wsets", example), ("wsets", blocks), ("wsets", conflicted),
+            ("signsym", twin), ("signsym", conflicted),
+            ("frobenius", blocks), ("frobenius", twin),
+            ("verify-corpus", str(manifest)), ("verify-corpus", str(manifest), "--rel-tol", "-1"),
+        ]
+        fast = [run(*argv) for argv in invocations]
+        assert {code for code, _, _ in fast} == {0, 1, 2}
+        assert any(code == 2 and err.startswith("{") for code, _, err in fast)
+        monkeypatch.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2))
+        assert [run(*argv) for argv in invocations] == fast
 
 
 class TestGen:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signspectra.exterior import compound2
-from signspectra.gen import scrambled
+from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, scrambled, tp2
 from signspectra.signsym import (
     JCertificate,
     NotSignSymmetric,
@@ -24,7 +24,10 @@ from helpers import (
     EXAMPLE1,
     EXAMPLE1_COMPOUND,
     EXAMPLE1_COMPOUND_J_SETS,
+    STABLE_ODD_CELLS,
     brute_force_j_sets,
+    cycle_matrix,
+    reference_sign_constraint_graph,
 )
 
 
@@ -225,3 +228,50 @@ class TestConstraintGraph:
     def test_compound_of_worked_example_has_two_components(self):
         g = sign_constraint_graph(compound2(EXAMPLE1))
         assert len(g.components) == 2
+
+
+def criteria_07_to_11_inputs():
+    """Inputs of acceptance criteria 07-11, a few seeds of each, every one
+    followed by its scrambled twin."""
+    bases = [cyclic_h(n, h, seed=10 * n + h) for n in range(1, 13) for h in range(1, n + 1)]
+    bases += [cyclic_h(n, h, seed=i) for i, (n, h) in enumerate(STABLE_ODD_CELLS)]
+    bases += [tp2(3 + i % 3, seed=i) for i in range(9)]
+    rng = np.random.default_rng(20260404)
+    pool = [cycle_matrix(3), cycle_matrix(5), cycle_matrix(7), tp2(3, seed=9)]
+    for _ in range(8):
+        picks = rng.integers(0, len(pool), size=int(rng.integers(2, 4)))
+        bases.append(reducible_blocks([pool[p] for p in picks]))
+    bases += [nonneg_irreducible(2 + i % 6, density=0.3, seed=3200 + i) for i in range(10)]
+    bases += [reducible_blocks([cycle_matrix(3), cycle_matrix(5)]), EXAMPLE1]
+    return [m for t, base in enumerate(bases) for m in (base, scrambled(base, seed=t))]
+
+
+@st.composite
+def mixed_sign_patterns(draw):
+    """Square matrices of mixed signs, n <= 9; half of them are conjugated
+    from a nonnegative pattern by a random +-1 diagonal, so sign-symmetric
+    inputs with several components occur as well as conflicted ones."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    values = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 3.0])
+    a = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        d = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        a = d[:, None] * np.abs(a) * d[None, :]
+    return a
+
+
+class TestConstraintGraphMatchesReference:
+    def test_criteria_07_to_11_and_compounds(self):
+        seen = {True: 0, False: 0}
+        for a in criteria_07_to_11_inputs():
+            for m in (a, compound2(a)) if a.shape[0] > 1 else (a,):
+                g = sign_constraint_graph(m)
+                assert g == reference_sign_constraint_graph(m)
+                seen[g.consistent] += 1
+        assert seen[True] and seen[False]
+
+    @given(mixed_sign_patterns())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_sign_patterns(self, a):
+        for m in (a, compound2(a)) if a.shape[0] > 1 else (a,):
+            assert sign_constraint_graph(m) == reference_sign_constraint_graph(m)

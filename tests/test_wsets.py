@@ -28,6 +28,7 @@ from signspectra.wsets import (
 
 from helpers import (
     EXAMPLE1,
+    STABLE_ODD_CELLS,
     cycle_matrix,
     random_wset,
     reference_j_sets,
@@ -68,6 +69,23 @@ class TestWSet:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="grid"):
             WSet(3, np.eye(4, dtype=bool))
+
+    def test_stack_is_validated_as_one_batch(self):
+        rng = np.random.default_rng(7)
+        members = np.stack([random_wset(4, rng).member for _ in range(5)])
+        sets = WSet._from_stack(members.copy())
+        for w, m in zip(sets, members):
+            public = WSet(4, m)
+            assert (w.n, w.pairs.tolist()) == (public.n, public.pairs.tolist())
+            assert not w.member.flags.writeable
+        missing, double = members.copy(), members.copy()
+        i, j = np.nonzero(members[3] & ~np.eye(4, dtype=bool))
+        missing[3, i[0], j[0]] = False
+        double[3, j[0], i[0]] = True
+        with pytest.raises(ValueError, match="reverse"):
+            WSet._from_stack(missing)
+        with pytest.raises(ValueError, match="both directions"):
+            WSet._from_stack(double)
 
     def test_contains_range_check(self):
         w = canonical_m(2)
@@ -355,9 +373,6 @@ def matrix_graphs(a):
 
 def with_twins(bases, seed):
     return [m for t, base in enumerate(bases) for m in (base, scrambled(base, seed=seed + t))]
-
-
-STABLE_ODD_CELLS = [(5, 5), (7, 7), (9, 9), (11, 11), (4, 3), (6, 5), (8, 7), (10, 9), (12, 11)]
 
 
 class TestListingMatchesReference:
