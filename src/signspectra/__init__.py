@@ -4,7 +4,7 @@ The package analyzes real square matrices that become entrywise nonnegative
 under a +-1 diagonal similarity, together with their second compounds, and
 classifies the peripheral spectrum that this structure forces.  Submodules:
 
-  core      matrix validation, pair indexing, 2x2 minors, permutations
+  core      matrix validation, pair indexing, permutations
   exterior  second compound and W-set minor matrices
   signsym   sign-symmetry certificates (detection and enumeration)
   digraph   irreducibility, block triangular form, imprimitivity index
@@ -38,8 +38,6 @@ _EXPORTS = {
     "pair_count": "core",
     "pair_index": "core",
     "pair_unindex": "core",
-    "minor2": "core",
-    "PairIndexer": "core",
     "Permutation": "core",
     "compound2": "exterior",
     "WMatrix": "exterior",

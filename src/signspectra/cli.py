@@ -164,22 +164,15 @@ def _dumps(obj, pad: str = "\n") -> str:
     return "".join(_encode_flat(obj, 0))
 
 
-def _fmt_entry(v: float) -> str:
-    f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
-def format_matrix_csv(m) -> str:
-    return "\n".join(",".join(_fmt_entry(v) for v in row) for row in m) + "\n"
-
-
 def _json_entry(v: float):
     f = float(v)
     if f == int(f) and abs(f) < 1e15:
         return int(f)
     return f
+
+
+def format_matrix_csv(m) -> str:
+    return "\n".join(",".join(str(_json_entry(v)) for v in row) for row in m) + "\n"
 
 
 def format_matrix_json(m) -> str:
@@ -248,6 +241,16 @@ def _frobenius_blocks(form) -> list[dict]:
     ]
 
 
+def _candidate_fields(cand) -> dict:
+    """The transitivity fields of one W candidate, as `wsets` and `analyze`
+    report them."""
+    return {
+        "transitive": cand.transitive,
+        "witness": None if cand.witness is None else list(cand.witness),
+        "order": None if cand.order is None else list(cand.order.images),
+    }
+
+
 def _compound_error(exc: ValueError) -> CliInputError:
     """The input error for a matrix whose second compound exceeds a size
     limit (C(n,2) > MAX_DIMENSION from n = 78 on) or has minors that
@@ -306,16 +309,9 @@ def cmd_wsets(args) -> int:
         raise CliInputError(str(exc)) from exc
     entries = []
     for cand in enum.candidates:
+        fields = _candidate_fields(cand)
         for j, jt in cand.generating_pairs:
-            entries.append(
-                {
-                    "j": sorted(j),
-                    "jt": sorted(jt),
-                    "transitive": cand.transitive,
-                    "witness": None if cand.witness is None else list(cand.witness),
-                    "order": None if cand.order is None else list(cand.order.images),
-                }
-            )
+            entries.append({"j": sorted(j), "jt": sorted(jt), **fields})
     _emit_json(
         {
             "exists_transitive": enum.exists_transitive,
@@ -384,23 +380,16 @@ def cmd_analyze(args) -> int:
         except TooManyCertificatesError as exc:
             w_section = {"error": str(exc)}
         else:
-            listed = []
-            for cand in enum.candidates[:64]:
-                listed.append(
-                    {
-                        "transitive": cand.transitive,
-                        "witness": (
-                            None if cand.witness is None else list(cand.witness)
-                        ),
-                        "order": (
-                            None if cand.order is None else list(cand.order.images)
-                        ),
-                        "generating_pairs": [
-                            {"j": sorted(j), "jt": sorted(jt)}
-                            for j, jt in cand.generating_pairs
-                        ],
-                    }
-                )
+            listed = [
+                {
+                    **_candidate_fields(cand),
+                    "generating_pairs": [
+                        {"j": sorted(j), "jt": sorted(jt)}
+                        for j, jt in cand.generating_pairs
+                    ],
+                }
+                for cand in enum.candidates[:64]
+            ]
             w_section = {
                 "exists_transitive": enum.exists_transitive,
                 "j_count": enum.j_count,

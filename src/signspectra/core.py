@@ -1,4 +1,4 @@
-"""Foundational types: matrix validation, pair indexing, 2x2 minors, permutations.
+"""Foundational types: matrix validation, pair indexing, permutations.
 
 Indices in the public API are 1-based throughout: matrix rows and columns run
 1..n and index pairs (i, j) with i < j are numbered 1..C(n, 2) in
@@ -9,7 +9,6 @@ lexicographic order.  Internally everything is plain numpy with the usual
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +18,6 @@ __all__ = [
     "pair_count",
     "pair_index",
     "pair_unindex",
-    "minor2",
-    "PairIndexer",
     "Permutation",
 ]
 
@@ -80,54 +77,6 @@ def pair_unindex(alpha: int, n: int) -> tuple[int, int]:
             return i, i + rest
         rest -= row
     raise AssertionError("unreachable")
-
-
-def minor2(a, i: int, j: int, k: int, l: int) -> float:
-    """2x2 minor taken from rows i < j and columns k < l (all 1-based)."""
-    m = as_matrix(a)
-    n = m.shape[0]
-    if not (1 <= i < j <= n):
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    if not (1 <= k < l <= n):
-        raise ValueError(f"need 1 <= k < l <= n, got k={k}, l={l}")
-    return float(m[i - 1, k - 1] * m[j - 1, l - 1] - m[i - 1, l - 1] * m[j - 1, k - 1])
-
-
-@dataclass(frozen=True)
-class PairIndexer:
-    """Bijection between pairs (i, j), 1 <= i < j <= n, and positions 1..C(n,2)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.n <= MAX_DIMENSION):
-            raise ValueError(f"n must be in 1..{MAX_DIMENSION}, got {self.n}")
-
-    @property
-    def m(self) -> int:
-        return pair_count(self.n)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """All pairs as an (m, 2) int array, 1-based, in lexicographic order."""
-        i0, j0 = np.triu_indices(self.n, k=1)
-        out = np.column_stack([i0, j0]) + 1
-        out.setflags(write=False)
-        return out
-
-    def index(self, i: int, j: int) -> int:
-        return pair_index(i, j, self.n)
-
-    def unindex(self, alpha: int) -> tuple[int, int]:
-        return pair_unindex(alpha, self.n)
-
-    def index_array(self, i_arr, j_arr) -> np.ndarray:
-        """Vectorized `index` for arrays of 1-based i < j."""
-        i_arr = np.asarray(i_arr, dtype=np.int64)
-        j_arr = np.asarray(j_arr, dtype=np.int64)
-        if ((i_arr < 1) | (j_arr <= i_arr) | (j_arr > self.n)).any():
-            raise ValueError("pair arrays must satisfy 1 <= i < j <= n")
-        return (i_arr - 1) * (2 * self.n - i_arr) // 2 + (j_arr - i_arr)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ The digraph has an arc i -> j exactly when a_ij != 0.  A matrix is
 irreducible when this digraph is strongly connected; a 1 x 1 matrix is
 irreducible by convention.
 
-Irreducibility and the imprimitivity index come from breadth-first search
-over the nonzero pattern: the digraph is strongly connected exactly when
-node 0 reaches every node along the arcs and against them.  Only
+Irreducibility and the imprimitivity index come from one breadth-first
+search over the nonzero pattern in each direction: the digraph is strongly
+connected exactly when node 0 reaches every node along the arcs and against
+them, and the levels of the forward search give the index.  Only
 `frobenius_form`, which needs every component, labels the strong
 components with scipy.
 """
@@ -72,22 +73,9 @@ def _bfs_levels(indptr: list[int], cols: list[int]) -> list[int]:
     return level
 
 
-def _reaches_all(m: np.ndarray) -> bool:
-    """True when node 0 reaches every node along the arcs of `m`."""
-    return -1 not in _bfs_levels(*_adjacency(*np.nonzero(m), m.shape[0]))
-
-
-def _strong_labels(m: np.ndarray) -> tuple[int, np.ndarray]:
-    pattern = csr_matrix((m != 0).astype(np.int8))
-    return connected_components(pattern, directed=True, connection="strong")
-
-
 def is_irreducible(a) -> bool:
     """True when the digraph of `a` is strongly connected (n = 1: always)."""
-    m = as_matrix(a)
-    if m.shape[0] == 1:
-        return True
-    return _reaches_all(m) and _reaches_all(m.T)
+    return _pattern_index(as_matrix(a)) is not None
 
 
 def _shortest_path(
@@ -165,27 +153,24 @@ def frobenius_form(a) -> FrobeniusForm:
     """Strongly connected components of the digraph, ordered so that every
     arc of the condensation points from a later block to an earlier one."""
     m = as_matrix(a)
-    n = m.shape[0]
-    n_comp, labels = _strong_labels(m) if n > 1 else (1, np.zeros(1, dtype=np.int64))
-
+    pattern = csr_matrix((m != 0).astype(np.int8))
+    n_comp, labels = connected_components(pattern, directed=True, connection="strong")
     members: list[list[int]] = [[] for _ in range(n_comp)]
-    for node in range(n):
-        members[labels[node]].append(node)
-    min_index = [min(c) for c in members]
+    for node, c in enumerate(labels.tolist()):
+        members[c].append(node)
 
-    successors: list[set[int]] = [set() for _ in range(n_comp)]
-    predecessors: list[set[int]] = [set() for _ in range(n_comp)]
+    # Each arc of the condensation once, as (source, target) component.
     rows, cols = np.nonzero(m)
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        cu, cv = int(labels[u]), int(labels[v])
-        if cu != cv:
-            successors[cu].add(cv)
-            predecessors[cv].add(cu)
+    source, target = np.divmod(np.unique(labels[rows] * n_comp + labels[cols]), n_comp)
+    between = source != target
+    predecessors: list[list[int]] = [[] for _ in range(n_comp)]
+    for cu, cv in zip(source[between].tolist(), target[between].tolist()):
+        predecessors[cv].append(cu)
 
     # Components with no unplaced successors are eligible; smallest original
     # index first keeps the order deterministic.
-    remaining = [len(s) for s in successors]
-    heap = [(min_index[c], c) for c in range(n_comp) if remaining[c] == 0]
+    remaining = np.bincount(source[between], minlength=n_comp).tolist()
+    heap = [(members[c][0], c) for c in range(n_comp) if remaining[c] == 0]
     heapq.heapify(heap)
     placed: list[int] = []
     while heap:
@@ -194,11 +179,11 @@ def frobenius_form(a) -> FrobeniusForm:
         for p in predecessors[c]:
             remaining[p] -= 1
             if remaining[p] == 0:
-                heapq.heappush(heap, (min_index[p], p))
+                heapq.heappush(heap, (members[p][0], p))
     if len(placed) != n_comp:
         raise AssertionError("condensation was not acyclic")
 
-    block_indices = tuple(tuple(i + 1 for i in sorted(members[c])) for c in placed)
+    block_indices = tuple(tuple(i + 1 for i in members[c]) for c in placed)
     blocks = tuple(
         m[np.ix_([i - 1 for i in idx], [i - 1 for i in idx])] for idx in block_indices
     )
@@ -228,30 +213,44 @@ class ImprimitivityIndex:
     cyclic_classes: tuple[tuple[int, ...], ...]
 
 
-def imprimitivity_index(a) -> ImprimitivityIndex:
-    """Greatest common divisor of all cycle lengths of the digraph.
+def _pattern_index(m: np.ndarray) -> ImprimitivityIndex | None:
+    """The imprimitivity index of the pattern of `m`, None when it is reducible.
 
-    Requires irreducibility; raises ReducibleInputError otherwise.  A 1 x 1
-    matrix has index 1 by convention.  Computed combinatorially from BFS
-    levels: h = gcd over arcs u -> v of |level(u) + 1 - level(v)|.
+    One forward search from node 0 gives the levels and one backward search
+    checks that every node reaches node 0; h is the gcd over arcs u -> v of
+    |level(u) + 1 - level(v)|.  A 1 x 1 pattern has index 1 by convention.
     """
-    m = as_matrix(a)
     n = m.shape[0]
     if n == 1:
         return ImprimitivityIndex(1, ((1,),))
     rows, cols = np.nonzero(m)
     level = _bfs_levels(*_adjacency(rows, cols, n))
-    if -1 in level or not _reaches_all(m.T):
-        raise ReducibleInputError("imprimitivity index requires an irreducible matrix")
+    if -1 in level:
+        return None
+    # A stable (merge) sort gains from cols running sorted within each row.
+    back = np.argsort(cols, kind="stable")
+    if -1 in _bfs_levels(*_adjacency(cols[back], rows[back], n)):
+        return None
 
     depth = np.array(level)
-    h = int(np.gcd.reduce(np.abs(depth[rows] + 1 - depth[cols])))
-    if h == 0:
-        raise AssertionError("strongly connected digraph with no cycle")
+    gaps = np.bincount(np.abs(depth[rows] + 1 - depth[cols]))  # each gap once
+    h = int(np.gcd.reduce(np.flatnonzero(gaps)))  # > 0: a cycle's gaps sum to its length
     classes: list[list[int]] = [[] for _ in range(h)]
     for node, lv in enumerate(level):
         classes[lv % h].append(node + 1)
     return ImprimitivityIndex(h, tuple(tuple(c) for c in classes))
+
+
+def imprimitivity_index(a) -> ImprimitivityIndex:
+    """Greatest common divisor of all cycle lengths of the digraph.
+
+    Requires irreducibility; raises ReducibleInputError otherwise.  A 1 x 1
+    matrix has index 1 by convention.
+    """
+    index = _pattern_index(as_matrix(a))
+    if index is None:
+        raise ReducibleInputError("imprimitivity index requires an irreducible matrix")
+    return index
 
 
 def is_primitive(a) -> bool:

@@ -40,15 +40,19 @@ def _check_base_dimension(n: int) -> None:
 
 
 def _minor_grid(a: np.ndarray, row_pairs: np.ndarray, col_pairs: np.ndarray) -> np.ndarray:
-    """Grid of 2x2 minors a(i,j;k,l) for 1-based (i,j) rows and (k,l) columns."""
+    """Grid of 2x2 minors a(i,j;k,l) for 1-based (i,j) rows and (k,l) columns.
+
+    Overflowing minors come out inf or nan without a warning; callers check.
+    """
     i = row_pairs[:, 0] - 1
     j = row_pairs[:, 1] - 1
     k = col_pairs[:, 0] - 1
     l = col_pairs[:, 1] - 1
-    return (
-        a[i[:, None], k[None, :]] * a[j[:, None], l[None, :]]
-        - a[i[:, None], l[None, :]] * a[j[:, None], k[None, :]]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            a[i[:, None], k[None, :]] * a[j[:, None], l[None, :]]
+            - a[i[:, None], l[None, :]] * a[j[:, None], k[None, :]]
+        )
 
 
 def compound2(a) -> np.ndarray:

@@ -44,9 +44,9 @@ from .core import as_matrix
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
+    ReducibleInputError,
     frobenius_form,
     imprimitivity_index,
-    is_irreducible,
 )
 from .exterior import compound2
 from .signsym import SignConstraintGraph, sign_constraint_graph
@@ -101,8 +101,14 @@ def eigenvalues(a) -> Spectrum:
     order = np.lexsort((args, -mods))
     vals = vals[order]
     vals.setflags(write=False)
-    bound = m.shape[0] * np.finfo(float).eps * float(np.linalg.norm(m))
+    bound = m.shape[0] * np.finfo(float).eps * _frobenius_norm(m)
     return Spectrum(vals, float(mods.max()), bound)
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    """||m||_F scaled by the largest entry, so that squares cannot overflow."""
+    s = float(np.abs(m).max())
+    return s * float(np.linalg.norm(m / s)) if s > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -311,14 +317,23 @@ def _has_positive_principal_minor2(m: np.ndarray) -> bool:
     return bool((grid[iu] > 0).any())
 
 
+def _index_or_none(m: np.ndarray) -> ImprimitivityIndex | None:
+    """The imprimitivity index of `m`, None when `m` is reducible."""
+    try:
+        return imprimitivity_index(m)
+    except ReducibleInputError:
+        return None
+
+
 class Facts:
     """The structural facts of one matrix, each computed on first use and at
     most once, so that `classify` and the CLI reports share them.
 
     `graph_c`, `compound_irreducible` and `compound_imprimitivity` are None
     for n = 1, which has no compound; an imprimitivity index is None for a
-    reducible matrix.  `transitive_w` needs n >= 2 and both sign graphs
-    consistent.
+    reducible matrix, and irreducibility is read from it, so one search in
+    each direction decides both.  `transitive_w` needs n >= 2 and both sign
+    graphs consistent.
     """
 
     def __init__(self, a) -> None:
@@ -342,27 +357,25 @@ class Facts:
         return None if self.compound is None else sign_constraint_graph(self.compound)
 
     @cached_property
-    def irreducible(self) -> bool:
-        return is_irreducible(self.matrix)
-
-    @cached_property
-    def compound_irreducible(self) -> bool | None:
-        c2 = self.compound
-        if c2 is None:
-            return None
-        # A 1x1 zero compound is treated as degenerate rather than irreducible
-        # so that 2x2 rank-one matrices route by trace instead of through T9.
-        if c2.shape[0] == 1:
-            return bool(c2[0, 0] != 0.0)
-        return is_irreducible(c2)
-
-    @cached_property
     def imprimitivity(self) -> ImprimitivityIndex | None:
-        return imprimitivity_index(self.matrix) if self.irreducible else None
+        return _index_or_none(self.matrix)
 
     @cached_property
     def compound_imprimitivity(self) -> ImprimitivityIndex | None:
-        return imprimitivity_index(self.compound) if self.compound_irreducible else None
+        c2 = self.compound
+        # A 1x1 zero compound is treated as degenerate rather than irreducible
+        # so that 2x2 rank-one matrices route by trace instead of through T9.
+        if c2 is None or (c2.shape[0] == 1 and c2[0, 0] == 0.0):
+            return None
+        return _index_or_none(c2)
+
+    @property
+    def irreducible(self) -> bool:
+        return self.imprimitivity is not None
+
+    @property
+    def compound_irreducible(self) -> bool | None:
+        return None if self.compound is None else self.compound_imprimitivity is not None
 
     @cached_property
     def transitive_w(self) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -426,7 +439,7 @@ def classify(
             f" {facts.graph_a.odd_cycle}",
         )
 
-    rho_zero = spec.rho <= 1e-12 * max(1.0, float(np.linalg.norm(facts.matrix)))
+    rho_zero = spec.rho <= 1e-12 * max(1.0, _frobenius_norm(facts.matrix))
     zero_text = "spectral radius is zero; peripheral structure is degenerate"
 
     if facts.n == 1:

@@ -8,6 +8,7 @@ from boolean matrix powers.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 
 import numpy as np
@@ -157,6 +158,34 @@ def kosaraju_components(a: np.ndarray) -> list[frozenset[int]]:
                     stack.append(nxt)
         components.append(frozenset(comp))
     return components
+
+
+def reference_block_order(a) -> tuple[tuple[int, ...], ...]:
+    """The block order `frobenius_form` promises, one arc at a time: every
+    strong component after all components it reaches, the one with the
+    smallest original index first among those eligible."""
+    comps = sorted(kosaraju_components(a), key=min)
+    where = {i: c for c, comp in enumerate(comps) for i in comp}
+    successors = [set() for _ in comps]
+    predecessors = [set() for _ in comps]
+    rows, cols = np.nonzero(np.asarray(a))
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        cu, cv = where[u + 1], where[v + 1]
+        if cu != cv:
+            successors[cu].add(cv)
+            predecessors[cv].add(cu)
+    remaining = [len(s) for s in successors]
+    heap = [(min(comps[c]), c) for c in range(len(comps)) if remaining[c] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(tuple(sorted(comps[c])))
+        for p in predecessors[c]:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                heapq.heappush(heap, (min(comps[p]), p))
+    return tuple(order)
 
 
 def hungarian_close(a, b, atol: float) -> bool:

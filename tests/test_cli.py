@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,20 @@ class TestCompound:
             assert (code, out) == (1, "")
             assert err == "error: second compound: matrix entries must be finite\n"
             assert run("classify", path) == (1, "", err)
+
+    @pytest.mark.parametrize("command", ["classify", "analyze", "compound"])
+    def test_overflowing_minors_print_only_the_error(self, tmp_path, command):
+        # A separate process, so that any numpy RuntimeWarning reaches stderr.
+        path = write_csv(tmp_path, [[1e200, 2e200, 0.0], [3e200, 4e200, 1.0], [0.0, 1.0, 1.0]])
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "signspectra", command, path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "SIGNSPECTRA_THREADS": "1"},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: second compound: matrix entries must be finite\n"
 
 
 class TestSignsym:
@@ -382,9 +397,8 @@ class TestAnalyzeSharesFacts:
             monkeypatch, "compound2", "sign_constraint_graph", "detect",
             "eigenvalues", "frobenius_form", "find_transitive_w",
         )
-        by_dimension = count_calls_by_dimension(
-            monkeypatch, "imprimitivity_index", "is_irreducible"
-        )
+        searches = count_calls(monkeypatch, "is_irreducible", "_bfs_levels")
+        by_dimension = count_calls_by_dimension(monkeypatch, "imprimitivity_index")
         code, out, _ = run("analyze", path)
         assert code == 0
         assert json.loads(out)["classification"]["theorem"] == theorem
@@ -394,10 +408,15 @@ class TestAnalyzeSharesFacts:
             "eigenvalues": 1, "frobenius_form": 1,
         }
         assert transitive <= 1
-        # Only the facts call these, at most once per matrix; A and its
-        # compound differ in size, so each dimension counts one matrix.
+        # Only the facts call imprimitivity_index, at most once per matrix; A
+        # and its compound differ in size, so each dimension counts one
+        # matrix.  Irreducibility is read from it: one search along the arcs
+        # and one against them for each irreducible matrix, and one for the
+        # reducible compound of T8.2.
         assert max(by_dimension["imprimitivity_index"].values()) <= 1
-        assert max(by_dimension["is_irreducible"].values()) <= 1
+        assert searches == {
+            "is_irreducible": 0, "_bfs_levels": 4 if theorem == "T9.1" else 3,
+        }
 
     def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])

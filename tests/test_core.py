@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from signspectra.core import (
     MAX_DIMENSION,
-    PairIndexer,
     Permutation,
     as_matrix,
-    minor2,
     pair_count,
     pair_index,
     pair_unindex,
 )
+from signspectra.exterior import compound2
 
 from helpers import EXAMPLE1
 
@@ -107,51 +106,46 @@ class TestPairIndexing:
         assert pair_index(i, j, n) == alpha
 
     def test_indexer_pairs_table(self):
-        idx = PairIndexer(5)
-        assert idx.m == 10
-        assert idx.pairs.shape == (10, 2)
-        assert tuple(idx.pairs[0]) == (1, 2)
-        assert tuple(idx.pairs[9]) == (4, 5)
-        for alpha, (i, j) in enumerate(idx.pairs, start=1):
-            assert idx.index(int(i), int(j)) == alpha
-
-    def test_indexer_vectorized_matches_scalar(self):
-        idx = PairIndexer(8)
-        i_arr = idx.pairs[:, 0]
-        j_arr = idx.pairs[:, 1]
-        expect = [idx.index(int(i), int(j)) for i, j in zip(i_arr, j_arr)]
-        assert idx.index_array(i_arr, j_arr).tolist() == expect
+        # pair_index numbers the pairs in the row order of np.triu_indices,
+        # which is how compound2 lays out its rows and columns.
+        i0, j0 = np.triu_indices(5, k=1)
+        assert pair_count(5) == len(i0) == 10
+        for alpha, (i, j) in enumerate(zip(i0 + 1, j0 + 1), start=1):
+            assert pair_index(int(i), int(j), 5) == alpha
+            assert pair_unindex(alpha, 5) == (i, j)
 
 
 class TestMinor2:
+    """2x2 minors as compound2 entries, located with pair_index."""
+
+    @staticmethod
+    def minor(a, i, j, k, l):
+        n = np.shape(a)[0]
+        return compound2(a)[pair_index(i, j, n) - 1, pair_index(k, l, n) - 1]
+
     def test_two_by_two_is_determinant(self):
-        assert minor2([[1, 2], [3, 4]], 1, 2, 1, 2) == -2.0
+        assert self.minor([[1, 2], [3, 4]], 1, 2, 1, 2) == -2.0
 
     def test_worked_example_entry(self):
         # Rows (1,5), columns (1,2): a11*a52 - a12*a51 = 0 - 1 = -1.
-        assert minor2(EXAMPLE1, 1, 5, 1, 2) == -1.0
+        assert self.minor(EXAMPLE1, 1, 5, 1, 2) == -1.0
 
     def test_another_worked_entry(self):
         # Rows (1,2), columns (2,3): a12*a23 - a13*a22 = 1.
-        assert minor2(EXAMPLE1, 1, 2, 2, 3) == 1.0
-
-    def test_rejects_unordered_indices(self):
-        a = np.ones((3, 3))
-        with pytest.raises(ValueError):
-            minor2(a, 2, 1, 1, 2)
-        with pytest.raises(ValueError):
-            minor2(a, 1, 2, 3, 3)
+        assert self.minor(EXAMPLE1, 1, 2, 2, 3) == 1.0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_column_swap_negates(self, seed):
+        # Swapping columns k and l of A negates the compound's column (k,l).
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         a = rng.normal(size=(n, n))
-        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
-        k, l = sorted(rng.choice(n, size=2, replace=False) + 1)
-        swapped = a[i - 1, l - 1] * a[j - 1, k - 1] - a[i - 1, k - 1] * a[j - 1, l - 1]
-        assert minor2(a, i, j, k, l) == pytest.approx(-swapped, rel=1e-12, abs=1e-12)
+        k, l = sorted(rng.choice(n, size=2, replace=False))
+        swapped = a.copy()
+        swapped[:, [k, l]] = a[:, [l, k]]
+        col = pair_index(k + 1, l + 1, n) - 1
+        assert np.array_equal(compound2(swapped)[:, col], -compound2(a)[:, col])
 
 
 class TestPermutation:

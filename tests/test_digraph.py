@@ -14,7 +14,7 @@ from signspectra.digraph import (
     is_irreducible,
     is_primitive,
 )
-from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks
+from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, tp2
 from signspectra.spectral import classify
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     cycle_matrix,
     hungarian_close,
     kosaraju_components,
+    reference_block_order,
 )
 
 
@@ -138,11 +139,30 @@ class TestSearchAgainstOracles:
 
 
 class TestStrongComponentCalls:
+    # classify reads irreducibility from the imprimitivity index of each
+    # matrix: one search along the arcs and one against them when the
+    # matrix is irreducible, one when node 1 fails to reach every node.
+    NAMES = (
+        "connected_components", "is_irreducible", "imprimitivity_index", "_bfs_levels",
+    )
+
     def test_t82_classify_labels_no_components(self, monkeypatch):
-        calls = count_calls(monkeypatch, "connected_components", "is_irreducible")
+        calls = count_calls(monkeypatch, *self.NAMES)
         c = classify(cyclic_h(7, 7, seed=5))
         assert c.theorem == "T8.2" and c.verified
-        assert calls == {"connected_components": 0, "is_irreducible": 2}
+        assert calls == {
+            "connected_components": 0, "is_irreducible": 0,
+            "imprimitivity_index": 2, "_bfs_levels": 3,
+        }
+
+    def test_t91_classify_searches_each_matrix_both_ways(self, monkeypatch):
+        calls = count_calls(monkeypatch, *self.NAMES)
+        c = classify(tp2(6, seed=0))
+        assert c.theorem == "T9.1" and c.verified
+        assert calls == {
+            "connected_components": 0, "is_irreducible": 0,
+            "imprimitivity_index": 2, "_bfs_levels": 4,
+        }
 
     def test_imprimitivity_index_does_not_test_irreducibility(self, monkeypatch):
         calls = count_calls(monkeypatch, "connected_components", "is_irreducible")
@@ -198,6 +218,7 @@ class TestFrobeniusForm:
             form = frobenius_form(a)
             got = {frozenset(idx) for idx in form.block_indices}
             assert got == set(kosaraju_components(a))
+            assert form.block_indices == reference_block_order(a)
 
     def test_structure_and_spectrum(self):
         rng = np.random.default_rng(29)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,17 @@ class TestClassifyRouting:
 
     def test_zero_one_by_one_routes_none(self):
         assert classify(np.zeros((1, 1))).theorem == "NONE"
+
+    def test_frobenius_norm_overflow_keeps_the_route(self):
+        # ||b||_F^2 overflows, but rho(b) = 1.7e154 is far from zero.
+        a = tp2(4)
+        b = a / a.max() * 1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = classify(b)
+        assert c.theorem == "T9.1" and c.verified
+        assert c.spectrum.rho > 1e154
+        assert np.isfinite(c.spectrum.backward_error_bound)
 
     def test_negative_tolerance_forces_failure(self):
         c = classify(EXAMPLE1, rel_tol=-1.0)
