@@ -29,8 +29,8 @@ __all__ = ["main", "run"]
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class CliInputError(Exception):
-    """Bad file, bad format, or bad flag value; maps to exit code 1."""
+class CliInputError(ValueError):
+    """Bad file, bad format, or bad flag value; `main` reports it like any ValueError."""
 
 
 def _configure_threads() -> None:
@@ -76,10 +76,7 @@ def parse_matrix_text(text: str, fmt: str):
             for v in row:
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise CliInputError(f"row {r} holds a non-numeric entry {v!r}")
-        try:
-            return as_matrix(rows)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        return as_matrix(rows)
 
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -107,10 +104,7 @@ def parse_matrix_text(text: str, fmt: str):
         raise CliInputError(
             f"matrix must be square, got {len(rows)} rows of width {width}"
         )
-    try:
-        return as_matrix([entries for _, entries in rows])
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    return as_matrix([entries for _, entries in rows])
 
 
 def read_matrix(path: str, fmt: str):
@@ -251,24 +245,13 @@ def _candidate_fields(cand) -> dict:
     }
 
 
-def _compound_error(exc: ValueError) -> CliInputError:
-    """The input error for a matrix whose second compound exceeds a size
-    limit (C(n,2) > MAX_DIMENSION from n = 78 on) or has minors that
-    overflow: the only ValueErrors the analysis stages raise on a matrix
-    that `read_matrix` accepted."""
-    return CliInputError(f"second compound: {exc}")
-
-
 def cmd_compound(args) -> int:
     import numpy as np
 
     from .exterior import compound2
 
     m, fmt = read_matrix(args.path, args.format)
-    try:
-        c2 = compound2(m)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    c2 = compound2(m)
     if not np.isfinite(c2).all():
         raise CliInputError("second compound: matrix entries must be finite")
     _emit_matrix(c2, fmt, args.out)
@@ -299,13 +282,13 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_wsets(args) -> int:
-    from .signsym import NotSignSymmetricError, TooManyCertificatesError
+    from .signsym import TooManyCertificatesError
     from .wsets import enumerate_w_candidates
 
     m, _ = read_matrix(args.path, args.format)
     try:
         enum = enumerate_w_candidates(m, cap=args.cap)
-    except (NotSignSymmetricError, TooManyCertificatesError) as exc:
+    except TooManyCertificatesError as exc:
         raise CliInputError(str(exc)) from exc
     entries = []
     for cand in enum.candidates:
@@ -328,10 +311,7 @@ def cmd_classify(args) -> int:
     from .spectral import classify, counterexample_bundle
 
     m, _ = read_matrix(args.path, args.format)
-    try:
-        c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
-    except ValueError as exc:
-        raise _compound_error(exc) from exc
+    c = classify(m, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol)
     _emit_json(_spectral_report(c))
     if not c.verified:
         sys.stderr.write(_dumps(counterexample_bundle(m, c)) + "\n")
@@ -346,10 +326,7 @@ def cmd_analyze(args) -> int:
 
     m, fmt = read_matrix(args.path, args.format)
     facts = Facts(m)
-    try:
-        graph_c = facts.graph_c
-    except ValueError as exc:
-        raise _compound_error(exc) from exc
+    graph_c = facts.graph_c
 
     sign_matrix = _signsym_section(facts.graph_a)
     sign_compound = None if graph_c is None else _signsym_section(graph_c)
@@ -444,9 +421,8 @@ def cmd_gen(args) -> int:
         except json.JSONDecodeError as exc:
             raise CliInputError(f"invalid JSON in spec file {text}: {exc}") from exc
     try:
-        spec = GenSpec.from_dict(data)
-        matrix = generate(spec)
-    except (ValueError, GenerationError) as exc:
+        matrix = generate(GenSpec.from_dict(data))
+    except GenerationError as exc:
         raise CliInputError(str(exc)) from exc
     _emit_matrix(matrix, args.format if args.format != "auto" else "csv", args.out)
     return 0
@@ -474,16 +450,13 @@ def cmd_verify_corpus(args) -> int:
         try:
             spec = GenSpec.from_dict(entry)
             matrix = generate(spec)
-        except (ValueError, GenerationError) as exc:
-            raise CliInputError(f"spec {index}: {exc}") from exc
-        facts = Facts(matrix)
-        try:
+            facts = Facts(matrix)
             c = classify(
                 facts, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol
             )
             products = verify_eigenvalue_products(facts)
-        except ValueError as exc:
-            raise CliInputError(f"spec {index}: {_compound_error(exc)}") from exc
+        except (ValueError, GenerationError) as exc:
+            raise CliInputError(f"spec {index}: {exc}") from exc
         ok = c.verified and products.ok
         results.append(
             {
@@ -506,8 +479,15 @@ def cmd_verify_corpus(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
+    from .spectral import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
+    from .wsets import DEFAULT_CANDIDATE_CAP
+
     parser = _Parser(prog="signspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_tolerances(p):
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
+        p.add_argument("--peripheral-tol", type=float, default=DEFAULT_PERIPHERAL_TOL)
 
     def add_matrix_command(name, func, help_text, tolerances=False, cap=False):
         p = sub.add_parser(name, help=help_text)
@@ -519,11 +499,10 @@ def build_parser() -> _Parser:
         if name == "compound":
             p.add_argument("--out", default=None, help="write output here instead of stdout")
         if tolerances:
-            p.add_argument("--rel-tol", type=float, default=1e-6)
-            p.add_argument("--peripheral-tol", type=float, default=1e-6)
+            add_tolerances(p)
         if cap:
-            p.add_argument("--cap", type=int, default=2**16,
-                           help="most (J, Jt) combinations to list (default: 65536)")
+            p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+                           help="most (J, Jt) combinations to list (default: %(default)s)")
         p.set_defaults(func=func)
         return p
 
@@ -547,8 +526,7 @@ def build_parser() -> _Parser:
         "verify-corpus", help="generate and verify a manifest of specs"
     )
     p_corpus.add_argument("manifest", help="JSON list of generator specs")
-    p_corpus.add_argument("--rel-tol", type=float, default=1e-6)
-    p_corpus.add_argument("--peripheral-tol", type=float, default=1e-6)
+    add_tolerances(p_corpus)
     p_corpus.set_defaults(func=cmd_verify_corpus)
     return parser
 
@@ -559,7 +537,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

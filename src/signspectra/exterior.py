@@ -141,22 +141,25 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     W matrix.  The two multisets are matched by an optimal pairing; `ok` is
     True when the largest matched distance is within `tol`.  The default
     tolerance is 1e-6 * max(1, rho(a)^2), scaling with the largest product
-    magnitude.
+    magnitude.  Raises ValueError when a minor overflows, or rho^2 for the
+    default tolerance.
     """
     from .spectral import Facts, match_complex_multisets
 
     facts = a if isinstance(a, Facts) else Facts(a)
     n = facts.n
-    spec = facts.spectrum
-    if tol is None:
-        tol = 1e-6 * max(1.0, spec.rho**2)
-    lam = spec.values
-    i0, j0 = np.triu_indices(n, k=1)
-    products = lam[i0] * lam[j0]
     if w is None:
         entries = facts.compound if n > 1 else np.zeros((0, 0))
     else:
         entries = w_matrix(facts.matrix, w).entries
     w_eigs = np.linalg.eigvals(entries) if entries.size else np.zeros(0, dtype=complex)
+    spec = facts.spectrum
+    if tol is None:
+        tol = 1e-6 * max(1.0, spec.rho * spec.rho)
+        if tol == float("inf"):
+            raise ValueError(f"rho^2 overflows for rho = {spec.rho!r}")
+    lam = spec.values
+    i0, j0 = np.triu_indices(n, k=1)
+    products = lam[i0] * lam[j0]
     match = match_complex_multisets(products, w_eigs, tol)
     return EigenProductCheck(match.ok, float(tol), match.max_distance, products, w_eigs)

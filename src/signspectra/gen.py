@@ -242,31 +242,40 @@ class GenSpec:
         if not isinstance(data, dict) or "kind" not in data:
             raise ValueError("generator spec must be an object with a 'kind'")
         kind = data["kind"]
+
+        def get(key, convert, default=...):
+            # `...` marks a required field; a missing or ill-typed one is named.
+            if key not in data and default is ...:
+                raise ValueError(f"{kind} spec: missing field {key!r}")
+            try:
+                return convert(data[key]) if key in data else default
+            except TypeError as exc:
+                raise ValueError(f"{kind} spec: field {key!r}: {exc}") from exc
+
+        def optional_tuple(convert):
+            return lambda v: None if v is None else tuple(map(convert, v))
+
         if kind in ("nonneg_irreducible", "cyclic_h", "tp2"):
             return cls(
                 kind=kind,
-                n=int(data["n"]),
-                seed=int(data.get("seed", 0)),
-                h=int(data.get("h", 0)),
-                density=float(data.get("density", 0.0)),
-                magnitude=float(data.get("magnitude", 1.0)),
+                n=get("n", int),
+                seed=get("seed", int, 0),
+                h=get("h", int, 0),
+                density=get("density", float, 0.0),
+                magnitude=get("magnitude", float, 1.0),
             )
         if kind == "scrambled":
-            j = data.get("j_set")
             return cls(
                 kind=kind,
-                seed=int(data.get("seed", 0)),
-                j_set=None if j is None else tuple(int(v) for v in j),
-                base=cls.from_dict(data["base"]),
+                seed=get("seed", int, 0),
+                j_set=get("j_set", optional_tuple(int), None),
+                base=get("base", cls.from_dict),
             )
         if kind == "reducible_blocks":
-            targets = data.get("rho_targets")
             return cls(
                 kind=kind,
-                blocks=tuple(cls.from_dict(b) for b in data["blocks"]),
-                rho_targets=(
-                    None if targets is None else tuple(float(v) for v in targets)
-                ),
+                blocks=get("blocks", lambda bs: tuple(map(cls.from_dict, bs))),
+                rho_targets=get("rho_targets", optional_tuple(float), None),
             )
         raise ValueError(f"unknown generator kind {kind!r}")
 

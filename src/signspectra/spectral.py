@@ -325,6 +325,14 @@ def _index_or_none(m: np.ndarray) -> ImprimitivityIndex | None:
         return None
 
 
+def _of_compound(stage, c2: np.ndarray):
+    """`stage(c2)`, with a rejection of C2 by `as_matrix` named as such."""
+    try:
+        return stage(c2)
+    except ValueError as exc:
+        raise ValueError(f"second compound: {exc}") from exc
+
+
 class Facts:
     """The structural facts of one matrix, each computed on first use and at
     most once, so that `classify` and the CLI reports share them.
@@ -333,7 +341,8 @@ class Facts:
     for n = 1, which has no compound; an imprimitivity index is None for a
     reducible matrix, and irreducibility is read from it, so one search in
     each direction decides both.  `transitive_w` needs n >= 2 and both sign
-    graphs consistent.
+    graphs consistent.  `compound` is not validated; the stages that read it
+    as a matrix raise ValueError("second compound: ...") when it is invalid.
     """
 
     def __init__(self, a) -> None:
@@ -354,7 +363,8 @@ class Facts:
 
     @cached_property
     def graph_c(self) -> SignConstraintGraph | None:
-        return None if self.compound is None else sign_constraint_graph(self.compound)
+        c2 = self.compound
+        return None if c2 is None else _of_compound(sign_constraint_graph, c2)
 
     @cached_property
     def imprimitivity(self) -> ImprimitivityIndex | None:
@@ -367,7 +377,7 @@ class Facts:
         # so that 2x2 rank-one matrices route by trace instead of through T9.
         if c2 is None or (c2.shape[0] == 1 and c2[0, 0] == 0.0):
             return None
-        return _index_or_none(c2)
+        return _of_compound(_index_or_none, c2)
 
     @property
     def irreducible(self) -> bool:

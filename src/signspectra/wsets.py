@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Permutation, as_matrix, pair_count
-from .signsym import SignConstraintGraph, TooManyCertificatesError, sign_constraint_graph
+from .core import Permutation, pair_count
+from .signsym import SignConstraintGraph, TooManyCertificatesError
 
 __all__ = [
     "WSet",
@@ -215,15 +215,14 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
     Requires both `a` and its second compound to be sign-symmetric; raises
     NotSignSymmetricError otherwise and TooManyCertificatesError, before
     listing any certificate, when the number of (J, Jt) combinations exceeds
-    `cap`.
+    `cap`.  The two graphs come from one `spectral.Facts`, so a compound
+    that is not a valid matrix raises ValueError("second compound: ...").
     """
-    from .exterior import compound2
+    from .spectral import Facts
 
-    m = as_matrix(a)
-    graph_a = sign_constraint_graph(m)
-    graph_a.require_consistent()
-    graph_c = sign_constraint_graph(compound2(m)) if m.shape[0] > 1 else None
-    return w_candidates_from_graphs(graph_a, graph_c, cap)
+    facts = Facts(a)
+    facts.graph_a.require_consistent()
+    return w_candidates_from_graphs(facts.graph_a, facts.graph_c, cap)
 
 
 def w_candidates_from_graphs(

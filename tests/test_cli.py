@@ -124,7 +124,7 @@ class TestCompound:
             assert err == "error: second compound: matrix entries must be finite\n"
             assert run("classify", path) == (1, "", err)
 
-    @pytest.mark.parametrize("command", ["classify", "analyze", "compound"])
+    @pytest.mark.parametrize("command", ["classify", "analyze", "compound", "wsets"])
     def test_overflowing_minors_print_only_the_error(self, tmp_path, command):
         # A separate process, so that any numpy RuntimeWarning reaches stderr.
         path = write_csv(tmp_path, [[1e200, 2e200, 0.0], [3e200, 4e200, 1.0], [0.0, 1.0, 1.0]])
@@ -565,6 +565,11 @@ class TestGen:
         code, _, err = run("gen", '{"kind": "mystery"}')
         assert code == 1
 
+    def test_missing_field_is_one_error_line(self, run):
+        assert run("gen", '{"kind": "tp2"}') == (
+            1, "", "error: tp2 spec: missing field 'n'\n"
+        )
+
 
 class TestVerifyCorpus:
     def test_green_manifest(self, run, tmp_path):
@@ -609,6 +614,14 @@ class TestVerifyCorpus:
         assert code == 0
         assert json.loads(out)["results"][0]["eigenvalue_products_ok"]
         assert calls == {"eigenvalues": 1, "compound2": 1, "w_matrix": 0}
+
+    def test_ill_typed_field_is_one_error_line(self, run, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "reducible_blocks", "blocks": 5}]))
+        code, out, err = run("verify-corpus", str(manifest))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: spec 0: reducible_blocks spec: field 'blocks'")
+        assert err.count("\n") == 1
 
     def test_bad_manifest(self, run, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -672,13 +685,25 @@ class TestErrorsAndEnvironment:
         assert run("signsym", path)[0] == 0
         assert cli.build_parser.cache_info().misses == 1
 
+    def test_parser_defaults_are_library_constants(self):
+        from signspectra.spectral import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
+        from signspectra.wsets import DEFAULT_CANDIDATE_CAP
+
+        parser = cli.build_parser()
+        tolerances = {"rel_tol": DEFAULT_REL_TOL, "peripheral_tol": DEFAULT_PERIPHERAL_TOL}
+        for command in ("analyze", "classify", "verify-corpus"):
+            args = vars(parser.parse_args([command, "m.csv"]))
+            assert {k: args[k] for k in tolerances} == tolerances
+        for command in ("analyze", "wsets"):
+            assert parser.parse_args([command, "m.csv"]).cap == DEFAULT_CANDIDATE_CAP
+
     def test_thread_env_validation(self, run, monkeypatch):
         monkeypatch.setenv("SIGNSPECTRA_THREADS", "zero")
         code, _, err = run("signsym", "whatever.csv")
         assert code == 1
         assert "SIGNSPECTRA_THREADS" in err
 
-    @pytest.mark.parametrize("command", ["classify", "analyze", "verify-corpus"])
+    @pytest.mark.parametrize("command", ["classify", "analyze", "wsets", "verify-corpus"])
     def test_compound_over_dimension_limit(self, run, tmp_path, monkeypatch, command):
         # The 7-cycle's compound is 21 x 21; with the limit at 20 it stands in
         # for n >= 78, whose 3003 x 3003 compound exceeds the real limit 3000.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,21 @@ class TestEigenvalueProducts:
         check = verify_eigenvalue_products(a)
         assert check.ok
         assert check.tol == pytest.approx(1e-6 * 100.0**2)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # Finite entries whose 2 x 2 minors overflow to inf - inf = NaN.
+            np.array([[1e200, 2e200, 0.0], [3e200, 4e200, 1.0], [0.0, 1.0, 1.0]]),
+            # A finite compound [[1e-40]], but rho^2 = 1e320 overflows.
+            np.diag([1e160, 1e-200]),
+        ],
+    )
+    def test_overflow_is_value_error(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                verify_eigenvalue_products(a)
 
     def test_facts_in_place_of_the_matrix(self):
         rng = np.random.default_rng(43)

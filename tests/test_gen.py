@@ -230,3 +230,17 @@ class TestGenSpec:
             GenSpec.from_dict(["not", "a", "dict"])
         with pytest.raises(ValueError):
             generate(GenSpec(kind="mystery"))
+        # A missing or ill-typed field is a ValueError naming kind and field.
+        for data, message in [
+            ({"kind": "tp2"}, "tp2 spec: missing field 'n'"),
+            ({"kind": "cyclic_h", "h": 3}, "cyclic_h spec: missing field 'n'"),
+            ({"kind": "reducible_blocks", "blocks": 5}, "reducible_blocks spec: field 'blocks'"),
+            (
+                {"kind": "scrambled", "j_set": 2, "base": {"kind": "tp2", "n": 3}},
+                "scrambled spec: field 'j_set'",
+            ),
+            ({"kind": "scrambled", "base": {"kind": "tp2"}}, "tp2 spec: missing field 'n'"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                GenSpec.from_dict(data)
+            assert str(info.value).startswith(message)

@@ -428,6 +428,24 @@ class TestCounterexampleBundle:
         assert any(not p["verified"] for p in bundle["predictions"])
 
 
+class TestSecondCompoundErrors:
+    def test_stages_that_read_the_compound_name_it(self, monkeypatch):
+        # The 7-cycle's compound is 21 x 21; with the limit at 20 it stands in
+        # for n >= 78, whose 3003 x 3003 compound exceeds the real limit 3000.
+        from signspectra.exterior import verify_eigenvalue_products
+        from signspectra.wsets import enumerate_w_candidates
+
+        monkeypatch.setattr("signspectra.core.MAX_DIMENSION", 20)
+        a = cycle_matrix(7)
+        for stage in (classify, enumerate_w_candidates):
+            with pytest.raises(ValueError) as info:
+                stage(a)
+            assert str(info.value).startswith("second compound: ")
+            assert "dimension 21 exceeds the supported maximum 20" in str(info.value)
+        # The unvalidated compound still serves the eigenvalue-product check.
+        assert verify_eigenvalue_products(a).ok
+
+
 class TestTypes:
     def test_classification_frozen(self):
         c = classify(np.ones((2, 2)))
