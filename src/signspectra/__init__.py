@@ -49,7 +49,6 @@ _EXPORTS = {
     "NotSignSymmetricError": "signsym",
     "TooManyCertificatesError": "signsym",
     "detect": "signsym",
-    "enumerate_j_sets": "signsym",
     "enumerate_certificates": "signsym",
     "verify_certificate": "signsym",
     "principal_submatrix_certificate": "signsym",

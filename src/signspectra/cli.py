@@ -29,16 +29,12 @@ __all__ = ["main", "run"]
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class CliInputError(ValueError):
-    """Bad file, bad format, or bad flag value; `main` reports it like any ValueError."""
-
-
 def _configure_threads() -> None:
     want = os.environ.get("SIGNSPECTRA_THREADS")
     if not want:
         return
     if not want.isdigit() or int(want) < 1:
-        raise CliInputError(f"SIGNSPECTRA_THREADS must be a positive integer, got {want!r}")
+        raise ValueError(f"SIGNSPECTRA_THREADS must be a positive integer, got {want!r}")
     for var in _THREAD_VARS:
         os.environ.setdefault(var, want)
 
@@ -46,7 +42,7 @@ def _configure_threads() -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise CliInputError(message)
+        raise ValueError(message)
 
 
 def _infer_format(path: str, fmt: str) -> str:
@@ -63,19 +59,19 @@ def parse_matrix_text(text: str, fmt: str):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CliInputError(f"invalid JSON: {exc}") from exc
+            raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "n" not in data or "rows" not in data:
-            raise CliInputError('JSON matrix must be an object with "n" and "rows"')
+            raise ValueError('JSON matrix must be an object with "n" and "rows"')
         rows = data["rows"]
         n = data["n"]
         if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
-            raise CliInputError(f'"rows" must list exactly n={n} rows')
+            raise ValueError(f'"rows" must list exactly n={n} rows')
         for r, row in enumerate(rows, start=1):
             if not isinstance(row, list) or len(row) != n:
-                raise CliInputError(f"row {r} must list exactly {n} numbers")
+                raise ValueError(f"row {r} must list exactly {n} numbers")
             for v in row:
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise CliInputError(f"row {r} holds a non-numeric entry {v!r}")
+                    raise ValueError(f"row {r} holds a non-numeric entry {v!r}")
         return as_matrix(rows)
 
     rows = []
@@ -88,20 +84,20 @@ def parse_matrix_text(text: str, fmt: str):
             try:
                 entries.append(float(field))
             except ValueError as exc:
-                raise CliInputError(
+                raise ValueError(
                     f"row {lineno}: could not parse entry {field.strip()!r}"
                 ) from exc
         rows.append((lineno, entries))
     if not rows:
-        raise CliInputError("matrix file holds no rows")
+        raise ValueError("matrix file holds no rows")
     width = len(rows[0][1])
     for lineno, entries in rows:
         if len(entries) != width:
-            raise CliInputError(
+            raise ValueError(
                 f"row {lineno} has {len(entries)} entries, expected {width}"
             )
     if len(rows) != width:
-        raise CliInputError(
+        raise ValueError(
             f"matrix must be square, got {len(rows)} rows of width {width}"
         )
     return as_matrix([entries for _, entries in rows])
@@ -113,7 +109,7 @@ def read_matrix(path: str, fmt: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_text(text, fmt), fmt
 
 
@@ -253,7 +249,7 @@ def cmd_compound(args) -> int:
     m, fmt = read_matrix(args.path, args.format)
     c2 = compound2(m)
     if not np.isfinite(c2).all():
-        raise CliInputError("second compound: matrix entries must be finite")
+        raise ValueError("second compound: matrix entries must be finite")
     _emit_matrix(c2, fmt, args.out)
     return 0
 
@@ -282,14 +278,10 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_wsets(args) -> int:
-    from .signsym import TooManyCertificatesError
     from .wsets import enumerate_w_candidates
 
     m, _ = read_matrix(args.path, args.format)
-    try:
-        enum = enumerate_w_candidates(m, cap=args.cap)
-    except TooManyCertificatesError as exc:
-        raise CliInputError(str(exc)) from exc
+    enum = enumerate_w_candidates(m, cap=args.cap)
     entries = []
     for cand in enum.candidates:
         fields = _candidate_fields(cand)
@@ -405,7 +397,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .gen import GenSpec, GenerationError, generate
+    from .gen import GenSpec, generate
 
     text = args.spec
     try:
@@ -415,34 +407,31 @@ def cmd_gen(args) -> int:
             with open(text, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise CliInputError(
+            raise ValueError(
                 f"spec is neither inline JSON nor a readable file: {text!r}"
             ) from exc
         except json.JSONDecodeError as exc:
-            raise CliInputError(f"invalid JSON in spec file {text}: {exc}") from exc
-    try:
-        matrix = generate(GenSpec.from_dict(data))
-    except GenerationError as exc:
-        raise CliInputError(str(exc)) from exc
+            raise ValueError(f"invalid JSON in spec file {text}: {exc}") from exc
+    matrix = generate(GenSpec.from_dict(data))
     _emit_matrix(matrix, args.format if args.format != "auto" else "csv", args.out)
     return 0
 
 
 def cmd_verify_corpus(args) -> int:
     from .exterior import verify_eigenvalue_products
-    from .gen import GenSpec, GenerationError, generate
+    from .gen import GenSpec, generate
     from .spectral import Facts, classify, counterexample_bundle
 
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliInputError(f"cannot read {args.manifest}: {exc}") from exc
+        raise ValueError(f"cannot read {args.manifest}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"invalid JSON in {args.manifest}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {args.manifest}: {exc}") from exc
     specs = data.get("specs") if isinstance(data, dict) else data
     if not isinstance(specs, list) or not specs:
-        raise CliInputError("manifest must be a list of generator specs")
+        raise ValueError("manifest must be a list of generator specs")
 
     results = []
     failures = []
@@ -455,8 +444,8 @@ def cmd_verify_corpus(args) -> int:
                 facts, rel_tol=args.rel_tol, peripheral_tol=args.peripheral_tol
             )
             products = verify_eigenvalue_products(facts)
-        except (ValueError, GenerationError) as exc:
-            raise CliInputError(f"spec {index}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"spec {index}: {exc}") from exc
         ok = c.verified and products.ok
         results.append(
             {

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """Raised when a generator cannot satisfy its contract."""
 
 
@@ -288,7 +288,13 @@ class GenSpec:
 
 
 def generate(spec: GenSpec) -> np.ndarray:
-    """Materialize a GenSpec, resolving nested specs recursively."""
+    """Materialize a GenSpec, resolving nested specs recursively, as a matrix
+    that passes `as_matrix`: an overflow to infinite entries is a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return as_matrix(_materialize(spec))
+
+
+def _materialize(spec: GenSpec) -> np.ndarray:
     if spec.kind == "nonneg_irreducible":
         return nonneg_irreducible(spec.n, spec.density, spec.seed, spec.magnitude)
     if spec.kind == "cyclic_h":
@@ -297,9 +303,9 @@ def generate(spec: GenSpec) -> np.ndarray:
         return tp2(spec.n, spec.seed)
     if spec.kind == "scrambled":
         assert spec.base is not None
-        return scrambled(generate(spec.base), spec.j_set, spec.seed)
+        return scrambled(_materialize(spec.base), spec.j_set, spec.seed)
     if spec.kind == "reducible_blocks":
         return reducible_blocks(
-            [generate(b) for b in spec.blocks], spec.rho_targets
+            [_materialize(b) for b in spec.blocks], spec.rho_targets
         )
     raise ValueError(f"unknown generator kind {spec.kind!r}")

@@ -29,7 +29,6 @@ __all__ = [
     "SignConstraintGraph",
     "sign_constraint_graph",
     "detect",
-    "enumerate_j_sets",
     "enumerate_certificates",
     "verify_certificate",
     "principal_submatrix_certificate",
@@ -47,7 +46,7 @@ class NotSignSymmetricError(ValueError):
         self.odd_cycle = odd_cycle
 
 
-class TooManyCertificatesError(RuntimeError):
+class TooManyCertificatesError(ValueError):
     """Raised when an enumeration would exceed its cap."""
 
 
@@ -118,8 +117,8 @@ class SignConstraintGraph:
         return np.asarray(self.coloring, dtype=bool) ^ flips[:, self.component_index()]
 
     def j_sets(self) -> list[frozenset[int]]:
-        """All 2^c valid J sets of a consistent graph, in the order of
-        `flip_rows` and `enumerate_j_sets`."""
+        """All 2^c valid J sets, canonical J first, in the order of
+        `flip_rows`; NotSignSymmetricError for an inconsistent graph."""
         return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.flip_rows()]
 
 
@@ -218,28 +217,20 @@ def detect(a) -> JCertificate | NotSignSymmetric:
     return _certificate(m, j_set)
 
 
-def enumerate_j_sets(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[frozenset[int]]:
-    """All valid J sets, in a deterministic order, without materializing the
-    conjugated matrices.
+def enumerate_certificates(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[JCertificate]:
+    """All valid J certificates, in the order of `SignConstraintGraph.j_sets`.
 
-    There are exactly 2^c of them for c constraint components.  The first
-    entry is the canonical J; later entries flip components in binary-counter
-    order (component of smallest index as the lowest bit).  Raises
-    NotSignSymmetricError for inputs with no certificate and
-    TooManyCertificatesError when 2^c exceeds `cap`.
+    There are exactly 2^c of them for c constraint components.  Raises
+    NotSignSymmetricError for inputs with no certificate and, before listing
+    any, TooManyCertificatesError when 2^c exceeds `cap`.
     """
-    g = sign_constraint_graph(a)
+    m = as_matrix(a)
+    g = sign_constraint_graph(m)
     g.require_consistent()
     c = len(g.components)
     if 2**c > cap:
         raise TooManyCertificatesError(f"2^{c} certificates exceed the cap {cap}")
-    return g.j_sets()
-
-
-def enumerate_certificates(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[JCertificate]:
-    """All valid J certificates, in the order of `enumerate_j_sets`."""
-    m = as_matrix(a)
-    return [_certificate(m, j) for j in enumerate_j_sets(m, cap=cap)]
+    return [_certificate(m, j) for j in g.j_sets()]
 
 
 def verify_certificate(a, cert: JCertificate) -> bool:

@@ -137,8 +137,8 @@ class PeripheralGroup:
     """Eigenvalues within `rel_tol` (relatively) of the largest modulus.
 
     `roots_of` is (k, rho**k) when the group is exactly the k-th roots of
-    rho^k within tolerance, else None.  A zero spectral radius gives an
-    empty degenerate group.
+    rho^k within tolerance, else None; rho**k is inf when it overflows.  A
+    zero spectral radius gives an empty degenerate group.
     """
 
     count: int
@@ -166,7 +166,10 @@ def peripheral_spectrum(a, rel_tol: float = DEFAULT_PERIPHERAL_TOL) -> Periphera
     atol = rel_tol * max(1.0, rho)
     roots = None
     if match_complex_multisets(values, _roots_targets(rho, k), atol).ok:
-        roots = (k, rho**k)
+        try:
+            roots = (k, rho**k)
+        except OverflowError:
+            roots = (k, float("inf"))
     return PeripheralGroup(k, values, rho, rel_tol, roots, False)
 
 
@@ -308,13 +311,6 @@ def _pred_peripheral_simple(peripheral: PeripheralGroup) -> Prediction:
         f"pairwise peripheral gaps at least {_fmt(min_gap)}, floor {_fmt(gap_floor)}",
         min_gap > gap_floor,
     )
-
-
-def _has_positive_principal_minor2(m: np.ndarray) -> bool:
-    d = np.diag(m)
-    grid = d[:, None] * d[None, :] - m * m.T
-    iu = np.triu_indices(m.shape[0], k=1)
-    return bool((grid[iu] > 0).any())
 
 
 def _index_or_none(m: np.ndarray) -> ImprimitivityIndex | None:
@@ -567,7 +563,7 @@ def _classify_t10_t81(facts, peripheral, tol, label):
         _pred_second_below_rho(spec),
     ]
     if label == "T10":
-        if _has_positive_principal_minor2(facts.matrix):
+        if (np.diag(facts.compound) > 0).any():  # 2x2 principal minors of A
             preds.append(_pred_second_real(spec, strict=True))
         diag = (
             "matrix irreducible and sign-symmetric with sign-symmetric compound"

@@ -19,7 +19,7 @@ from signspectra.exterior import verify_eigenvalue_products
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.gen import nonneg_irreducible
 from signspectra.signsym import JCertificate, detect, enumerate_certificates
-from signspectra.signsym import enumerate_j_sets
+from signspectra.signsym import sign_constraint_graph
 from signspectra.spectral import classify, counterexample_bundle, eigenvalues
 from signspectra.spectral import peripheral_spectrum
 
@@ -130,7 +130,7 @@ def test_criterion_05_detection_matches_exhaustive_sign_search():
         res = detect(a)
         assert isinstance(res, JCertificate) == bool(expected)
         if expected:
-            assert set(enumerate_j_sets(a)) == expected
+            assert set(sign_constraint_graph(a).j_sets()) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
 

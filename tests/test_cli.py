@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signspectra import cli
+from signspectra import cli, gen
 from signspectra.cli import format_matrix_csv, main, parse_matrix_text
 from signspectra.digraph import imprimitivity_index
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
@@ -254,6 +254,26 @@ class TestClassify:
         code, out, _ = run("classify", path)
         assert code == 0
         assert json.loads(out)["theorem"] == "NONE"
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_overflowing_rho_power_prints_infinity(self, run, tmp_path, command):
+        # rho^3 = 1e330 overflows, although every entry and minor is finite.
+        path = write_csv(tmp_path, cycle_matrix(3) * 1e110)
+        code, out, err = run(command, path)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        section = data if command == "classify" else data["classification"]
+        assert section["theorem"] == "T9.2"
+        assert section["peripheral"]["roots_of"] == [3, float("inf")]
+        assert out == json.dumps(data, indent=2) + "\n"  # rho^3 is written Infinity
+        assert "Infinity" in out
+
+    def test_overflowing_compound_in_corpus_is_one_error_line(self, run, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "nonneg_irreducible", "n": 3, "magnitude": 1e200}]))
+        assert run("verify-corpus", str(manifest)) == (
+            1, "", "error: spec 0: second compound: matrix entries must be finite\n"
+        )
 
 
 class TestAnalyze:
@@ -568,6 +588,34 @@ class TestGen:
     def test_missing_field_is_one_error_line(self, run):
         assert run("gen", '{"kind": "tp2"}') == (
             1, "", "error: tp2 spec: missing field 'n'\n"
+        )
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "nonneg_irreducible", "n": 3, "magnitude": 1e400}',
+        '{"kind": "nonneg_irreducible", "n": 3, "magnitude": 1.7e308}',
+        '{"kind": "cyclic_h", "n": 3, "h": 3, "magnitude": 1.7e308}',
+    ])
+    def test_infinite_entries_are_one_error_line(self, run, tmp_path, spec):
+        # JSON reads 1e400 as inf; 1.7e308 times a draw above 1.06 overflows.
+        assert run("gen", spec) == (1, "", "error: matrix entries must be finite\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f"[{spec}]")
+        assert run("verify-corpus", str(manifest)) == (
+            1, "", "error: spec 0: matrix entries must be finite\n"
+        )
+
+    def test_generation_error_is_one_error_line(self, run, tmp_path, monkeypatch):
+        def fail(spec):
+            raise gen.GenerationError("could not build the matrix")
+
+        monkeypatch.setattr(gen, "generate", fail)
+        assert run("gen", '{"kind": "tp2", "n": 3}') == (
+            1, "", "error: could not build the matrix\n"
+        )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"kind": "tp2", "n": 3}]')
+        assert run("verify-corpus", str(manifest)) == (
+            1, "", "error: spec 0: could not build the matrix\n"
         )
 
 

@@ -9,10 +9,10 @@ from signspectra.signsym import (
     JCertificate,
     NotSignSymmetric,
     NotSignSymmetricError,
+    SignConstraintGraph,
     TooManyCertificatesError,
     detect,
     enumerate_certificates,
-    enumerate_j_sets,
     principal_submatrix_certificate,
     sign_constraint_graph,
     trace_bound,
@@ -89,24 +89,38 @@ class TestEnumerate:
             assert verify_certificate(EXAMPLE1_COMPOUND, c)
 
     def test_zero_matrix_counts_components(self):
-        assert len(enumerate_j_sets(np.zeros((3, 3)))) == 8
+        assert len(sign_constraint_graph(np.zeros((3, 3))).j_sets()) == 8
 
     def test_connected_nonnegative_has_two(self):
-        sets = enumerate_j_sets(EXAMPLE1)
+        sets = sign_constraint_graph(EXAMPLE1).j_sets()
         assert sets[0] == frozenset()
         assert sets == [frozenset(), frozenset({1, 2, 3, 4, 5})]
 
     def test_raises_on_inconsistent(self):
         with pytest.raises(NotSignSymmetricError) as err:
-            enumerate_j_sets(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            sign_constraint_graph(np.array([[0.0, 1.0], [-1.0, 0.0]])).j_sets()
         assert err.value.odd_cycle is not None
 
     def test_cap(self):
+        # The default cap is 2^20; the messages are part of the interface.
+        with pytest.raises(TooManyCertificatesError, match=r"^2\^21 .* the cap 1048576$"):
+            enumerate_certificates(np.zeros((21, 21)))
+        assert len(enumerate_certificates(np.zeros((4, 4)), cap=16)) == 16
+        with pytest.raises(TooManyCertificatesError, match=r"^2\^4 certificates exceed the cap 15$"):
+            enumerate_certificates(np.zeros((4, 4)), cap=15)
+
+    def test_cap_is_checked_before_listing(self, monkeypatch):
+        listed = []
+        monkeypatch.setattr(SignConstraintGraph, "j_sets", lambda graph: listed.append(graph))
         with pytest.raises(TooManyCertificatesError):
-            enumerate_j_sets(np.zeros((21, 21)), cap=2**20)
-        assert len(enumerate_j_sets(np.zeros((4, 4)), cap=16)) == 16
-        with pytest.raises(TooManyCertificatesError):
-            enumerate_j_sets(np.zeros((4, 4)), cap=15)
+            enumerate_certificates(np.zeros((4, 4)), cap=15)
+        assert listed == []
+
+    def test_certificates_follow_j_sets(self):
+        a = scrambled(reducible_blocks([cycle_matrix(3), np.ones((2, 2))]), j_set={2, 5})
+        certs = enumerate_certificates(a)
+        assert [c.j_set for c in certs] == sign_constraint_graph(a).j_sets()
+        assert certs[0].j_set == detect(a).j_set
 
     def test_matches_brute_force_seeded(self):
         rng = np.random.default_rng(20260817)
@@ -119,9 +133,9 @@ class TestEnumerate:
             if not expected:
                 assert isinstance(detect(a), NotSignSymmetric)
                 with pytest.raises(NotSignSymmetricError):
-                    enumerate_j_sets(a)
+                    sign_constraint_graph(a).j_sets()
             else:
-                got = set(enumerate_j_sets(a))
+                got = set(sign_constraint_graph(a).j_sets())
                 assert got == expected
 
     @given(st.integers(min_value=0, max_value=10**9))
@@ -134,7 +148,7 @@ class TestEnumerate:
         if not expected:
             assert isinstance(detect(a), NotSignSymmetric)
         else:
-            assert set(enumerate_j_sets(a)) == expected
+            assert set(sign_constraint_graph(a).j_sets()) == expected
 
 
 class TestVerify:

@@ -122,6 +122,12 @@ class TestPeripheralSpectrum:
         assert peripheral_spectrum(a, rel_tol=1e-6).count == 2
         assert peripheral_spectrum(a, rel_tol=1e-12).count == 1
 
+    def test_overflowing_power_is_inf(self):
+        # rho^3 = 1e330 is beyond the float range; rho itself is not.
+        per = peripheral_spectrum(cycle_matrix(3) * 1e110)
+        assert per.count == 3
+        assert per.roots_of == (3, float("inf"))
+
     def test_accepts_spectrum(self):
         spec = eigenvalues(EXAMPLE1)
         per = peripheral_spectrum(spec)
@@ -168,6 +174,12 @@ class TestClassifyRouting:
             "peripheral_roots_of_rho",
             "peripheral_simple",
         ]
+
+    @pytest.mark.parametrize("scale", [1e100, 1e110, 1e125, 1e150])
+    def test_three_cycle_routes_t92_at_large_scale(self, scale):
+        c = classify(cycle_matrix(3) * scale)
+        assert (c.theorem, c.verified) == ("T9.2", True)
+        assert c.peripheral.roots_of[0] == 3
 
     def test_rank_one_positive_routes_t10(self):
         c = classify(np.ones((2, 2)))

@@ -12,7 +12,6 @@ from signspectra.signsym import (
     NotSignSymmetricError,
     SignConstraintGraph,
     TooManyCertificatesError,
-    enumerate_j_sets,
     sign_constraint_graph,
 )
 from signspectra.wsets import (
@@ -324,10 +323,8 @@ class TestEnumerateCandidates:
 
     def test_compound_certificates_drive_jt(self):
         a = EXAMPLE1
-        from signspectra.signsym import enumerate_j_sets
-
         enum = enumerate_w_candidates(a)
-        assert enum.jt_count == len(enumerate_j_sets(compound2(a)))
+        assert enum.jt_count == len(sign_constraint_graph(compound2(a)).j_sets())
 
     def test_fails_fast_on_too_many_combinations(self, monkeypatch):
         # The 33-cycle has 2 x 2^16 combinations: the count alone decides,
@@ -483,8 +480,8 @@ class TestFindTransitiveW:
         assert (found is not None) == enum.exists_transitive
         if found is not None:
             j_set, jt_set = found
-            assert j_set in enumerate_j_sets(a)
-            assert jt_set in enumerate_j_sets(compound2(a))
+            assert j_set in graph_a.j_sets()
+            assert jt_set in graph_c.j_sets()
             assert is_transitive(build_w_hat(j_set, jt_set, a.shape[0])).transitive
 
     @given(st.integers(min_value=0, max_value=10**9))
