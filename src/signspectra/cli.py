@@ -64,7 +64,9 @@ def parse_matrix_text(text: str, fmt: str):
             raise ValueError('JSON matrix must be an object with "n" and "rows"')
         rows = data["rows"]
         n = data["n"]
-        if not isinstance(n, int) or not isinstance(rows, list) or len(rows) != n:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f'"n" must be an integer, got {n!r}')
+        if not isinstance(rows, list) or len(rows) != n:
             raise ValueError(f'"rows" must list exactly n={n} rows')
         for r, row in enumerate(rows, start=1):
             if not isinstance(row, list) or len(row) != n:

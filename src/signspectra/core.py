@@ -8,7 +8,9 @@ lexicographic order.  Internally everything is plain numpy with the usual
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +33,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
     Accepts anything `np.asarray` understands (nested lists, integer arrays,
     existing float arrays).  Raises ValueError for non-square shapes, empty
-    matrices, NaN or infinite entries, or dimensions beyond MAX_DIMENSION.
+    matrices, NaN or infinite entries (integers beyond the float range
+    included), or dimensions beyond MAX_DIMENSION.
     """
-    m = np.asarray(a, dtype=float)
+    try:
+        m = np.asarray(a, dtype=float)
+    except OverflowError as exc:  # a Python int beyond the float range
+        raise ValueError(f"{name} entries must be finite") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -77,6 +83,43 @@ def pair_unindex(alpha: int, n: int) -> tuple[int, int]:
             return i, i + rest
         rest -= row
     raise AssertionError("unreachable")
+
+
+class _BuiltOnAccess(Sequence):
+    """Read-only sequence whose item k is `build(k)`, made the first time it
+    is read and returned as the same object on every later read.  Supports
+    `len`, int and negative indexing, slices (as tuples) and iteration."""
+
+    def __init__(self, length: int, build: Callable[[int], object]) -> None:
+        self._items: list = [None] * length
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self.take(range(len(self._items))[k]))
+        item = self._items[k]
+        if item is None:
+            k = range(len(self._items))[k]
+            item = self._items[k] = self._build(k)
+        return item
+
+    def __iter__(self):
+        items = self._items
+        for k in range(len(items)):
+            if items[k] is None:
+                items[k] = self._build(k)
+            yield items[k]
+
+    def take(self, indices) -> list:
+        """The items at the given non-negative indices, as a list."""
+        items = self._items
+        for k in indices:
+            if items[k] is None:
+                items[k] = self._build(k)
+        return [items[k] for k in indices]
 
 
 @dataclass(frozen=True)

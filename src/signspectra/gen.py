@@ -249,7 +249,7 @@ class GenSpec:
                 raise ValueError(f"{kind} spec: missing field {key!r}")
             try:
                 return convert(data[key]) if key in data else default
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"{kind} spec: field {key!r}: {exc}") from exc
 
         def optional_tuple(convert):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _BuiltOnAccess, as_matrix
 
 __all__ = [
     "DEFAULT_CERTIFICATE_CAP",
@@ -119,7 +119,17 @@ class SignConstraintGraph:
     def j_sets(self) -> list[frozenset[int]]:
         """All 2^c valid J sets, canonical J first, in the order of
         `flip_rows`; NotSignSymmetricError for an inconsistent graph."""
-        return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.flip_rows()]
+        return list(_row_sets(self.flip_rows()))
+
+
+def _row_sets(rows: np.ndarray) -> _BuiltOnAccess:
+    """The 1-based column sets of the True entries of each row of a boolean
+    2-D array, from one `np.nonzero` over all rows; each set is made when it
+    is first read."""
+    r, c = np.nonzero(rows)
+    ends = np.cumsum(np.bincount(r, minlength=len(rows))).tolist()
+    starts = [0] + ends
+    return _BuiltOnAccess(len(rows), lambda k: frozenset((c[starts[k]:ends[k]] + 1).tolist()))
 
 
 def sign_constraint_graph(a) -> SignConstraintGraph:

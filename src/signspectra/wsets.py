@@ -9,22 +9,25 @@ order on {1..n}.
 
 `find_transitive_w` decides whether the candidate construction yields a
 transitive W set without listing the candidates; `enumerate_w_candidates`
-lists them all, as one packed row of C(n,2) orientation bits per (J, Jt)
-combination (about 24 MB at the default cap with n = 77), groups equal rows
-in order of first occurrence, and checks the distinct W sets for
-transitivity in one batched pass.  `analyze` prints the first 64 of them.
+lists them, as one packed row of C(n,2) orientation bits per (J, Jt)
+combination, groups equal rows in order of first occurrence, and checks the
+distinct W sets for transitivity in one batched pass.  Its `candidates` are
+a sequence built on access: each `WCandidate`, and each J or Jt set in its
+generating pairs, is made the first time it is read, so `analyze`, which
+prints the first 64, builds only those.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .core import Permutation, pair_count
-from .signsym import SignConstraintGraph, TooManyCertificatesError
+from .core import Permutation, _BuiltOnAccess, pair_count
+from .signsym import SignConstraintGraph, TooManyCertificatesError, _row_sets
 
 __all__ = [
     "WSet",
@@ -67,18 +70,20 @@ class WSet:
         m.setflags(write=False)
 
     @classmethod
-    def _from_stack(cls, members: np.ndarray) -> list[WSet]:
+    def _from_stack(cls, members: np.ndarray) -> Sequence[WSet]:
         """One W set per grid of a boolean (G, n, n) stack, validated by one
-        batched test instead of one test per set."""
+        batched test instead of one test per set; each set is made when it
+        is first read."""
         _check_members(members)
         members.setflags(write=False)
-        sets = []
-        for m in members:
+
+        def build(g: int) -> WSet:
             w = object.__new__(cls)
             object.__setattr__(w, "n", members.shape[1])
-            object.__setattr__(w, "member", m)
-            sets.append(w)
-        return sets
+            object.__setattr__(w, "member", members[g])
+            return w
+
+        return _BuiltOnAccess(len(members), build)
 
     def contains(self, i: int, j: int) -> bool:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -128,11 +133,14 @@ class TransitivityCheck:
 
 def is_transitive(w: WSet) -> TransitivityCheck:
     """Test transitivity of a W set and extract the total order or a witness."""
-    return _check_transitivity(w.member[None])[0]
+    return _check_at(_check_transitivity(w.member[None]), 0)
 
 
-def _check_transitivity(members: np.ndarray) -> list[TransitivityCheck]:
-    """`is_transitive` for each grid of a (G, n, n) stack of W-set members.
+def _check_transitivity(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`is_transitive` for each grid of a (G, n, n) stack of W-set members,
+    as three arrays: the transitive flags (G,), the orders sigma (G, n),
+    meaningful where transitive, and the 1-based witnesses (G, 3), zero
+    where transitive.  `_check_at` reads one set's `TransitivityCheck`.
 
     By Landau's score-sequence theorem a tournament is transitive exactly
     when its out-degrees are distinct: with the diagonal counted, its row
@@ -146,14 +154,27 @@ def _check_transitivity(members: np.ndarray) -> list[TransitivityCheck]:
         raise AssertionError("transitive W set did not reconstruct from its order")
     bad = members[~transitive]
     g = np.arange(len(bad))
-    # A boolean matmul, since an integer count of two-step paths can wrap.
-    i0, k0 = np.divmod((np.matmul(bad, bad) & ~bad).reshape(g.size, n * n).argmax(axis=1), n)
-    witnesses = iter(np.column_stack([i0, (bad[g, i0] & bad[g, :, k0]).argmax(axis=1), k0]) + 1)
-    return [
-        TransitivityCheck(True, None, Permutation(tuple(s)))
-        if t else TransitivityCheck(False, tuple(next(witnesses).tolist()), None)
-        for t, s in zip(transitive.tolist(), sigma.tolist())
-    ]
+    # Two-step path counts in float32 BLAS: a count is at most
+    # n <= MAX_DIMENSION < 2**24, so float32 holds it exactly (uint8 wraps).
+    # Blocks of at most 2**22 grid entries bound each float32 copy at 16 MB.
+    reach = np.empty_like(bad)
+    step = max(1, 2**22 // (n * n))
+    for lo in range(0, len(bad), step):
+        block = bad[lo:lo + step].astype(np.float32)
+        reach[lo:lo + step] = np.matmul(block, block) > 0
+    i0, k0 = np.divmod((reach & ~bad).reshape(g.size, n * n).argmax(axis=1), n)
+    j0 = (bad[g, i0] & bad[g, :, k0]).argmax(axis=1)
+    witnesses = np.zeros((len(members), 3), dtype=np.int64)
+    witnesses[~transitive] = np.column_stack([i0, j0, k0]) + 1
+    return transitive, sigma, witnesses
+
+
+def _check_at(checks: tuple[np.ndarray, np.ndarray, np.ndarray], g: int) -> TransitivityCheck:
+    """The `TransitivityCheck` of set g from `_check_transitivity` arrays."""
+    transitive, sigma, witnesses = checks
+    if transitive[g]:
+        return TransitivityCheck(True, None, Permutation(tuple(sigma[g].tolist())))
+    return TransitivityCheck(False, tuple(witnesses[g].tolist()), None)
 
 
 def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
@@ -202,7 +223,18 @@ class WCandidate:
 
 @dataclass(frozen=True)
 class WCandidateEnumeration:
-    candidates: tuple[WCandidate, ...]
+    """The distinct W sets of the candidate construction, in order of first
+    occurrence among the (J, Jt) combinations, J-major.
+
+    `candidates` is a read-only sequence (`len`, indexing, slices,
+    iteration).  From `w_candidates_from_graphs` it is built on access: a
+    `WCandidate`, with the J and Jt sets of its generating pairs, is made the
+    first time it is read and the same object is returned afterwards.  A
+    plain tuple is accepted too.  `exists_transitive` and the counts come
+    from the batched check and need no candidate to be built.
+    """
+
+    candidates: Sequence[WCandidate]
     exists_transitive: bool
     j_count: int
     jt_count: int
@@ -253,25 +285,46 @@ def w_candidates_from_graphs(
     i, j = np.triu_indices(n, k=1)
     keys = np.packbits(s[:, i] == s[:, j], axis=1)[:, None] ^ np.packbits(t, axis=1)
     keys = keys.reshape(len(s) * len(t), keys.shape[2])
-    # Group equal rows in order of first occurrence, each in increasing order.
-    raw, width = keys.tobytes(), keys.shape[1]
-    groups: dict[bytes, list[int]] = {}
-    for k in range(len(keys)):
-        groups.setdefault(raw[k * width:(k + 1) * width], []).append(k)
-    keep = np.unpackbits(keys[[ks[0] for ks in groups.values()]], axis=1, count=i.size) == 0
-    members = np.repeat(np.eye(n, dtype=bool)[None], len(groups), axis=0)
+    first, group = _group_rows(keys)
+    keep = np.unpackbits(keys[first], axis=1, count=i.size) == 0
+    members = np.repeat(np.eye(n, dtype=bool)[None], len(first), axis=0)
     members[:, i, j], members[:, j, i] = keep, ~keep
+    w_sets = WSet._from_stack(members)
+    checks = _check_transitivity(members)
 
-    jt_sets = graph_c.j_sets() if graph_c else [frozenset()]
-    pairs = [(js, jts) for js in graph_a.j_sets() for jts in jt_sets]
-    candidates = [
-        WCandidate(w, c.transitive, c.witness, c.order, tuple(pairs[k] for k in ks))
-        for w, c, ks in zip(
-            WSet._from_stack(members), _check_transitivity(members), groups.values()
-        )
-    ]
-    exists = any(c.transitive for c in candidates)
-    return WCandidateEnumeration(tuple(candidates), exists, len(s), len(t))
+    # The combinations of group g, in increasing order, are
+    # combos[starts[g]:ends[g]]; combination k pairs J row k // |T| with Jt
+    # row k % |T|.  The J and Jt sets are made from their flip rows on
+    # first use.
+    combos = np.argsort(group, kind="stable")
+    rows_a, rows_c = (combos // len(t)).tolist(), (combos % len(t)).tolist()
+    ends = np.cumsum(np.bincount(group)).tolist()
+    starts = [0] + ends
+    j_sets, jt_sets = _row_sets(s), _row_sets(t)
+
+    def candidate(g: int) -> WCandidate:
+        lo, hi = starts[g], ends[g]
+        pairs = tuple(zip(j_sets.take(rows_a[lo:hi]), jt_sets.take(rows_c[lo:hi])))
+        c = _check_at(checks, g)
+        return WCandidate(w_sets[g], c.transitive, c.witness, c.order, pairs)
+
+    return WCandidateEnumeration(
+        _BuiltOnAccess(len(first), candidate), bool(checks[0].any()), len(s), len(t)
+    )
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a 2-D uint8 array by first occurrence: the
+    increasing indices of each group's first row, and each row's group
+    number.  Rows of width 0 (n = 1) form one group."""
+    if not keys.shape[1]:
+        return np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[order] = np.arange(first.size)
+    return first[order], rank[inverse.ravel()]
 
 
 def find_transitive_w(

@@ -275,6 +275,25 @@ class TestClassify:
             1, "", "error: spec 0: second compound: matrix entries must be finite\n"
         )
 
+    @pytest.mark.parametrize("command", ["classify", "analyze", "wsets"])
+    def test_integer_beyond_float_range_is_one_error_line(self, run, tmp_path, command):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "rows": [[1' + "0" * 399 + "]]}")
+        assert run(command, str(path)) == (1, "", "error: matrix entries must be finite\n")
+
+    def test_boolean_n_is_rejected(self, run, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": true, "rows": [[2]]}')
+        assert run("classify", str(path)) == (1, "", "error: \"n\" must be an integer, got True\n")
+
+    def test_magnitude_beyond_float_range_is_one_error_line(self, run, tmp_path):
+        spec = '{"kind": "nonneg_irreducible", "n": 3, "magnitude": 1' + "0" * 399 + "}"
+        message = "nonneg_irreducible spec: field 'magnitude': int too large to convert to float\n"
+        assert run("gen", spec) == (1, "", "error: " + message)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" + spec + "]")
+        assert run("verify-corpus", str(manifest)) == (1, "", "error: spec 0: " + message)
+
 
 class TestAnalyze:
     def test_full_report(self, run, tmp_path):
@@ -485,6 +504,23 @@ class TestWsetsListing:
         assert listing["unique_w_sets"] == 512
         assert batches == {"_check_transitivity": {512: 1}}
         assert calls == {"is_transitive": 0, "build_w_hat": 0}
+
+    def test_analyze_builds_only_the_listed_candidates(self, run, tmp_path, monkeypatch):
+        from signspectra import wsets
+
+        built = []
+        original = wsets.WCandidate
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wsets, "WCandidate", counting)
+        code, out, _ = run("analyze", write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"]))
+        assert code == 0
+        section = json.loads(out)["w_candidates"]
+        assert (section["unique_w_sets"], len(section["candidates"])) == (512, 64)
+        assert len(built) == 64
 
 
 _TRICKY_TEXT = st.lists(

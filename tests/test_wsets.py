@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from signspectra.signsym import (
 )
 from signspectra.wsets import (
     WSet,
+    _check_at,
     _check_transitivity,
     build_w_hat,
     canonical_m,
@@ -154,11 +156,42 @@ def triple_oracle(member: np.ndarray):
     return True, None
 
 
-def tournament_stack(seed: int) -> np.ndarray:
-    """A (G, n, n) stack of W-set members, n 1-9, mixing total orders, total
-    orders with one pair reversed, and uniformly random orientations."""
+def bitmask_oracle(member: np.ndarray):
+    """(witness, order) of a W set from Python-int bit masks of its rows and
+    columns: the witness has the row-major-first (i, k) outside the set that
+    some j joins, and the least such j; the order of a transitive set sorts
+    the indices by membership, first index first."""
+    member = member.tolist()
+    n = len(member)
+    rows = [sum(1 << j for j in range(n) if member[i][j]) for i in range(n)]
+    cols = [sum(1 << j for j in range(n) if member[j][k]) for k in range(n)]
+    for i in range(n):
+        for k in range(n):
+            joined = rows[i] & cols[k]
+            if not member[i][k] and joined:
+                return (i + 1, (joined & -joined).bit_length(), k + 1), None
+    ranked = sorted(range(n), key=functools.cmp_to_key(lambda a, b: -1 if member[a][b] else 1))
+    sigma = [0] * n
+    for r, i in enumerate(ranked):
+        sigma[i] = r + 1
+    return None, tuple(sigma)
+
+
+def assert_checks_match_bitmask_oracle(stack: np.ndarray) -> None:
+    checks = _check_transitivity(stack)
+    for g, member in enumerate(stack):
+        check = _check_at(checks, g)
+        witness, order = bitmask_oracle(member)
+        assert check.witness == witness
+        assert (check.order.images if check.transitive else None) == order
+        assert check == is_transitive(WSet(len(member), member))
+
+
+def tournament_stack(seed: int, max_n: int = 9) -> np.ndarray:
+    """A (G, n, n) stack of W-set members, n 1-max_n, mixing total orders,
+    total orders with one pair reversed, and uniformly random orientations."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 10))
+    n = int(rng.integers(1, max_n + 1))
     stack = []
     for _ in range(int(rng.integers(1, 9))):
         kind = rng.integers(3)
@@ -180,8 +213,9 @@ class TestBatchedTransitivity:
     def test_matches_triple_oracle(self, seed):
         stack = tournament_stack(seed)
         checks = _check_transitivity(stack)
-        assert len(checks) == len(stack)
-        for member, check in zip(stack, checks):
+        assert [len(a) for a in checks] == [len(stack)] * 3
+        for g, member in enumerate(stack):
+            check = _check_at(checks, g)
             transitive, witness = triple_oracle(member)
             assert check.transitive == transitive
             assert check.witness == witness
@@ -191,6 +225,34 @@ class TestBatchedTransitivity:
             else:
                 assert check.order is None
             assert check == is_transitive(WSet(len(member), member))
+
+
+class TestWitnessSearch:
+    """The float32 two-step path count against Python-int bit masks."""
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_tournaments_up_to_64(self, seed):
+        assert_checks_match_bitmask_oracle(tournament_stack(seed, max_n=64))
+
+    def test_set_with_more_than_255_two_step_paths(self):
+        # A 300-element total order, relabelled except for index 1 at rank
+        # 1, with the pair of ranks 1 and 258 reversed: 256 two-step paths
+        # join them, a count that wraps to 0 in uint8, and row 1 holds the
+        # first witness.  A second order stays transitive.
+        rng = np.random.default_rng(256)
+        stack = []
+        for reverse in (True, False):
+            sigma = np.concatenate([[0], 1 + rng.permutation(299)])
+            member = sigma[:, None] <= sigma[None, :]
+            if reverse:
+                b = int(np.argmax(sigma == 257))
+                member[0, b], member[b, 0] = False, True
+            stack.append(member)
+        stack = np.array(stack)
+        checks = _check_transitivity(stack)
+        assert checks[0].tolist() == [False, True]
+        assert_checks_match_bitmask_oracle(stack)
 
 
 class TestBuildWHat:
@@ -460,6 +522,41 @@ def oracle_inputs(draw):
     if draw(st.booleans()):
         a = scrambled(a, seed=seed)
     return a
+
+
+class TestListingBuiltOnAccess:
+    @given(oracle_inputs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_random_access_matches_reference(self, a, data):
+        graph_a, graph_c = matrix_graphs(a)
+        try:
+            expected = reference_w_candidates(graph_a, graph_c, 2**12).candidates
+        except (NotSignSymmetricError, TooManyCertificatesError):
+            return
+        got = w_candidates_from_graphs(graph_a, graph_c, 2**12).candidates
+        size = len(expected)
+        assert len(got) == size
+        seen = {}
+        for k in data.draw(st.permutations(range(size))):
+            cand = got[k - size] if data.draw(st.booleans()) else got[k]
+            ref = expected[k]
+            assert np.array_equal(cand.w.member, ref.w.member)
+            assert not cand.w.member.flags.writeable
+            assert (cand.transitive, cand.witness, cand.order, cand.generating_pairs) == (
+                ref.transitive, ref.witness, ref.order, ref.generating_pairs
+            )
+            seen[k] = cand
+        start = data.draw(st.integers(-size - 2, size + 2))
+        stop = data.draw(st.integers(-size - 2, size + 2))
+        step = data.draw(st.sampled_from([1, 2, 3, -1, -2]))
+        picked = got[start:stop:step]
+        assert type(picked) is tuple
+        assert [id(c) for c in picked] == [id(seen[k]) for k in range(size)[start:stop:step]]
+        assert [id(c) for c in got] == [id(seen[k]) for k in range(size)]
+        assert got[-1] is seen[size - 1] and got[0] is seen[0]
+        for bad in (size, -size - 1):
+            with pytest.raises(IndexError):
+                got[bad]
 
 
 class TestFindTransitiveW:
