@@ -49,11 +49,11 @@ a = reducible_blocks(
 )
 show("3-cycle and 5-cycle, both at rho = 1", classify(a))
 
-# Forcing an impossible tolerance shows the failure path: the report lists
-# which predictions broke, and the bundle captures everything needed to
-# reproduce the contradiction.
-broken = classify(cycle, rel_tol=-1.0)
-print("\nwith rel_tol = -1 every numeric check fails; verified =", broken.verified)
+# A tolerance far below rounding error shows the failure path: the report
+# lists which predictions broke, and the bundle captures everything needed
+# to reproduce the contradiction.
+broken = classify(cycle, rel_tol=1e-30)
+print("\nwith rel_tol = 1e-30 the eigenvalue checks fail; verified =", broken.verified)
 bundle = counterexample_bundle(cycle, broken)
 print("bundle keys:", sorted(bundle.keys()))
 print(json.dumps(bundle["predictions"], indent=2)[:300], "...")

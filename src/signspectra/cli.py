@@ -116,10 +116,13 @@ def read_matrix(path: str, fmt: str):
 
 
 # `json.dumps` with an indent runs the pure-Python encoder on CPython 3.10
-# and 3.11, whose C encoder cannot indent.  _dumps writes the same text but
-# hands every scalar, and every list of numbers, booleans and nulls, to the C
-# encoder in one call, then breaks such a list onto indented lines at its
-# ", " separators: no number, boolean or null contains ", ".
+# and 3.11, whose C encoder cannot indent.  _dumps writes the same text in
+# one pass and one join.  Every scalar, and every list of numbers, booleans
+# and nulls, goes to the C encoder in one call; such a list is then broken
+# onto indented lines at its ", " separators (no number, boolean or null
+# contains ", ").  That is done once per list object and indentation, so a
+# W listing pays once for each J and Jt list it repeats.  Keyed by id, not
+# content: [1], [1.0] and [True] are equal but print differently.
 _encode_str = json.encoder.encode_basestring_ascii
 _encode_flat = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, _encode_str, None, ": ", ", ", False, False, True
@@ -127,33 +130,39 @@ _encode_flat = json.encoder.c_make_encoder(
 _FLAT_TYPES = frozenset({int, float, bool, type(None)})
 
 
-def _dumps(obj, pad: str = "\n") -> str:
+def _dumps(obj) -> str:
     """The text of `json.dumps` with indent=2, byte for byte, for a tree of
-    dicts with str keys, lists, tuples and JSON scalars; `pad` is the
-    newline and indentation that precede the closing bracket of `obj`.  A
-    key of any other type raises TypeError."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    dicts with str keys, lists, tuples and JSON scalars.  A key of any other
+    type raises TypeError."""
+    parts: list[str] = []
+    flat_text: dict[tuple[int, int], str] = {}  # the tree keeps each id valid
+
+    def emit(obj, pad: str) -> None:  # pad: what precedes the closing bracket
+        if isinstance(obj, str):
+            return parts.append(_encode_str(obj))
+        if not obj or not isinstance(obj, (list, tuple, dict)):
+            return parts.extend(_encode_flat(obj, 0))  # a scalar, [] or {}
         inner = pad + "  "
-        if _FLAT_TYPES.issuperset(map(type, obj)):
-            body = "".join(_encode_flat(obj, 0))[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join([_dumps(v, inner) for v in obj])
-        return "[" + inner + body + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_encode_str(key) + ": " + _dumps(value, inner))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return "".join(_encode_flat(obj, 0))
+        if isinstance(obj, dict):
+            for i, (key, value) in enumerate(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(("," if i else "{") + inner + _encode_str(key) + ": ")
+                emit(value, inner)
+            return parts.append(pad + "}")
+        key = (id(obj), len(pad))
+        if key in flat_text or _FLAT_TYPES.issuperset(map(type, obj)):
+            if key not in flat_text:
+                body = "".join(_encode_flat(obj, 0))[1:-1].replace(", ", "," + inner)
+                flat_text[key] = "[" + inner + body + pad + "]"
+            return parts.append(flat_text[key])
+        for i, value in enumerate(obj):
+            parts.append(("," if i else "[") + inner)
+            emit(value, inner)
+        parts.append(pad + "]")
+
+    emit(obj, "\n")
+    return "".join(parts)
 
 
 def _json_entry(v: float):
@@ -198,11 +207,7 @@ def _spectral_report(c) -> dict:
         "rho": float(c.spectrum.rho),
         "peripheral": {
             "k": c.peripheral.count,
-            "roots_of": (
-                None
-                if c.peripheral.roots_of is None
-                else [int(c.peripheral.roots_of[0]), float(c.peripheral.roots_of[1])]
-            ),
+            "roots_of": c.peripheral.roots_of,  # (int, float) or None
         },
         "theorem": c.theorem,
         "predictions": [
@@ -284,11 +289,12 @@ def cmd_wsets(args) -> int:
 
     m, _ = read_matrix(args.path, args.format)
     enum = enumerate_w_candidates(m, cap=args.cap)
+    as_list = functools.cache(sorted)  # one list per distinct J or Jt set
     entries = []
     for cand in enum.candidates:
         fields = _candidate_fields(cand)
         for j, jt in cand.generating_pairs:
-            entries.append({"j": sorted(j), "jt": sorted(jt), **fields})
+            entries.append({"j": as_list(j), "jt": as_list(jt), **fields})
     _emit_json(
         {
             "exists_transitive": enum.exists_transitive,
@@ -351,11 +357,12 @@ def cmd_analyze(args) -> int:
         except TooManyCertificatesError as exc:
             w_section = {"error": str(exc)}
         else:
+            as_list = functools.cache(sorted)  # one list per distinct J or Jt set
             listed = [
                 {
                     **_candidate_fields(cand),
                     "generating_pairs": [
-                        {"j": sorted(j), "jt": sorted(jt)}
+                        {"j": as_list(j), "jt": as_list(jt)}
                         for j, jt in cand.generating_pairs
                     ],
                 }
@@ -422,8 +429,9 @@ def cmd_gen(args) -> int:
 def cmd_verify_corpus(args) -> int:
     from .exterior import verify_eigenvalue_products
     from .gen import GenSpec, generate
-    from .spectral import Facts, classify, counterexample_bundle
+    from .spectral import Facts, _check_tolerances, classify, counterexample_bundle
 
+    _check_tolerances(args.rel_tol, args.peripheral_tol)  # before any spec
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -470,7 +478,7 @@ def cmd_verify_corpus(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    from .spectral import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
+    from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
     from .wsets import DEFAULT_CANDIDATE_CAP
 
     parser = _Parser(prog="signspectra", description=__doc__)

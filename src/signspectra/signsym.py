@@ -232,8 +232,10 @@ def enumerate_certificates(a, cap: int = DEFAULT_CERTIFICATE_CAP) -> list[JCerti
 
     There are exactly 2^c of them for c constraint components.  Raises
     NotSignSymmetricError for inputs with no certificate and, before listing
-    any, TooManyCertificatesError when 2^c exceeds `cap`.
+    any, TooManyCertificatesError when 2^c exceeds `cap` (ValueError below 1).
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     m = as_matrix(a)
     g = sign_constraint_graph(m)
     g.require_consistent()

@@ -37,10 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize import linear_sum_assignment
 
 from . import __version__
-from .core import as_matrix
+from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, as_matrix
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
@@ -69,9 +68,6 @@ __all__ = [
     "second_eigenvalue_claims",
     "counterexample_bundle",
 ]
-
-DEFAULT_REL_TOL = 1e-6
-DEFAULT_PERIPHERAL_TOL = 1e-6
 
 # Fixed internal tolerances: absolute slack for "real"/"nonnegative" claims
 # scales by 1e-8, strict separations by a factor (1 - 1e-8), and simplicity
@@ -126,6 +122,7 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
         return MatchResult(False, float("inf"))
     if av.size == 0:
         return MatchResult(True, 0.0)
+    from scipy.optimize import linear_sum_assignment  # 0.3 s to import
     cost = np.abs(av[:, None] - bv[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_distance = float(cost[rows, cols].max())
@@ -418,6 +415,13 @@ def _classification(
     )
 
 
+def _check_tolerances(rel_tol: float, peripheral_tol: float) -> None:
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    if not 0.0 < peripheral_tol < 1.0:
+        raise ValueError(f"peripheral_tol must lie in (0, 1), got {peripheral_tol!r}")
+
+
 def classify(
     a,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -427,12 +431,13 @@ def classify(
     and verify every prediction of the selected leaf against the computed
     spectrum.
 
-    `rel_tol` scales eigenvalue matching and `peripheral_tol` the modulus
-    band that delimits the peripheral group.  Every fact comes from one
-    `Facts`, shared with the caller when it passes one.  Whether a
-    transitive candidate W set exists is decided by `find_transitive_w`,
-    which lists no candidates, so no certificate count limits the input.
+    `rel_tol` (finite, > 0) scales eigenvalue matching and `peripheral_tol`
+    (in (0, 1)) the peripheral modulus band; other values raise ValueError.
+    Every fact comes from one `Facts`, the caller's when it passes one.  A
+    transitive candidate W set is searched for by `find_transitive_w`, which
+    lists no candidates, so no certificate count limits the input.
     """
+    _check_tolerances(rel_tol, peripheral_tol)
     facts = a if isinstance(a, Facts) else Facts(a)
     spec = facts.spectrum
     peripheral = peripheral_spectrum(spec, peripheral_tol)

@@ -264,6 +264,8 @@ def w_candidates_from_graphs(
 ) -> WCandidateEnumeration:
     """`enumerate_w_candidates` from the sign-constraint graphs of an n x n
     matrix and of its second compound (None for n = 1)."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     n = graph_a.n
     graph_a.require_consistent()
     components = len(graph_a.components)

@@ -240,7 +240,7 @@ class TestClassify:
 
     def test_failure_exits_two_with_bundle(self, run, tmp_path):
         path = write_csv(tmp_path, EXAMPLE1)
-        code, out, err = run("classify", path, "--rel-tol", "-1")
+        code, out, err = run("classify", path, "--rel-tol", "1e-30")  # below rounding
         assert code == 2
         data = json.loads(out)
         assert any(not p["verified"] for p in data["predictions"])
@@ -293,6 +293,42 @@ class TestClassify:
         manifest = tmp_path / "manifest.json"
         manifest.write_text("[" + spec + "]")
         assert run("verify-corpus", str(manifest)) == (1, "", "error: spec 0: " + message)
+
+
+class TestInvalidFlags:
+    """A tolerance or cap outside its range is one `error:` line and exit 1,
+    not a verification failure with a counterexample bundle."""
+
+    THREE_CYCLE = cycle_matrix(3)
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("classify", ("--rel-tol", "-1"), "rel_tol must be finite and positive, got -1.0"),
+            ("classify", ("--rel-tol", "nan"), "rel_tol must be finite and positive, got nan"),
+            ("classify", ("--peripheral-tol", "5"), "peripheral_tol must lie in (0, 1), got 5.0"),
+            ("analyze", ("--rel-tol", "-1"), "rel_tol must be finite and positive, got -1.0"),
+            ("analyze", ("--peripheral-tol", "0"), "peripheral_tol must lie in (0, 1), got 0.0"),
+            ("analyze", ("--cap", "-5"), "cap must be at least 1, got -5"),
+            ("wsets", ("--cap", "-5"), "cap must be at least 1, got -5"),
+            ("wsets", ("--cap", "0"), "cap must be at least 1, got 0"),
+        ],
+    )
+    def test_matrix_commands(self, run, tmp_path, command, flags, message):
+        path = write_csv(tmp_path, self.THREE_CYCLE)
+        assert run(command, path, *flags) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--rel-tol", "-1"), "rel_tol must be finite and positive, got -1.0"),
+            (("--peripheral-tol", "5"), "peripheral_tol must lie in (0, 1), got 5.0"),
+        ],
+    )
+    def test_verify_corpus_checks_flags_before_the_first_spec(self, run, tmp_path, flags, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "cyclic_h", "n": 3, "h": 3}]))
+        assert run("verify-corpus", str(manifest), *flags) == (1, "", f"error: {message}\n")
 
 
 class TestAnalyze:
@@ -505,6 +541,28 @@ class TestWsetsListing:
         assert batches == {"_check_transitivity": {512: 1}}
         assert calls == {"is_transitive": 0, "build_w_hat": 0}
 
+    def test_analyze_encodes_each_distinct_pair_list_once(self, run, tmp_path, monkeypatch):
+        # 64 listed candidates x 8 generating pairs: 1,024 J and Jt lists, but
+        # only 8 distinct J sets (one of them empty) and 128 distinct Jt sets.
+        # The report holds one list object per distinct set, and the writer
+        # encodes each non-empty one once.
+        trees, encoded = [], []
+        dumps, encode_flat = cli._dumps, cli._encode_flat
+        monkeypatch.setattr(cli, "_dumps", lambda obj: trees.append(obj) or dumps(obj))
+        monkeypatch.setattr(
+            cli, "_encode_flat", lambda obj, level: encoded.append(obj) or encode_flat(obj, level)
+        )
+        code, _, _ = run("analyze", write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"]))
+        assert code == 0
+        candidates = trees[0]["w_candidates"]["candidates"]
+        pairs = [pair for cand in candidates for pair in cand["generating_pairs"]]
+        lists = {id(pair[key]): pair[key] for pair in pairs for key in ("j", "jt")}
+        assert len(pairs) == 512
+        assert len(lists) == len({tuple(v) for v in lists.values()}) == 8 + 128
+        nonempty = {key for key, value in lists.items() if value}
+        # `encoded` keeps every argument alive, so no two of them share an id.
+        assert sorted(id(obj) for obj in encoded if id(obj) in nonempty) == sorted(nonempty)
+
     def test_analyze_builds_only_the_listed_candidates(self, run, tmp_path, monkeypatch):
         from signspectra import wsets
 
@@ -536,6 +594,24 @@ _JSON_FLAT = (
     | st.floats()
     | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
 )
+_JSON_CONTAINERS = (
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4)
+)
+# Trees that hold the same list and tuple objects more than once, at equal
+# and at different depths: the writer encodes a flat list once per object
+# and indentation.  `sampled_from` returns the objects themselves.
+_SHARED_TREES = st.lists(
+    st.lists(_JSON_FLAT, min_size=1, max_size=4)
+    | st.lists(_JSON_FLAT, min_size=1, max_size=4).map(tuple),
+    min_size=1,
+    max_size=3,
+).flatmap(
+    lambda shared: st.recursive(
+        st.sampled_from(shared) | _JSON_FLAT, _JSON_CONTAINERS, max_leaves=20
+    )
+)
 _JSON_TREES = st.recursive(
     _JSON_FLAT | _JSON_TEXT | st.lists(_JSON_FLAT) | st.lists(_JSON_FLAT).map(tuple),
     lambda children: st.lists(children, max_size=4)
@@ -550,6 +626,20 @@ class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     def test_matches_json_dumps_indent_2(self, obj):
         assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    @given(_SHARED_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_lists_match_json_dumps_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_equal_lists_of_different_types_keep_their_text(self):
+        # [1] == [1.0] == [True] and [0] == [False], with equal hashes, but
+        # each prints its own way, at every depth it recurs.
+        lists = [[1], [1.0], [True], [0], [False], (1,), (True,)]
+        tree = {"flat": lists, "deeper": [lists[::-1], {"again": lists}], "one": lists[2]}
+        text = cli._dumps(tree)
+        assert text == json.dumps(tree, indent=2)
+        assert text.count("true") == 7 and text.count("1.0") == 3
 
     @pytest.mark.parametrize("obj", [{1: "x"}, {"a": [{None: 1}]}, {"a": {2.5: []}}])
     def test_non_str_key_raises(self, obj):
@@ -568,13 +658,14 @@ class TestJsonWriter:
         ]))
         invocations = [
             ("analyze", example), ("analyze", blocks), ("analyze", conflicted),
-            ("analyze", twin), ("analyze", twin, "--rel-tol", "-1"),
-            ("classify", example), ("classify", twin), ("classify", example, "--rel-tol", "-1"),
+            ("analyze", twin), ("analyze", example, "--rel-tol", "1e-30"),
+            ("classify", example), ("classify", twin), ("classify", example, "--rel-tol", "1e-30"),
+            ("classify", example, "--rel-tol", "-1"), ("wsets", example, "--cap", "0"),
             ("compound", twin, "--format", "json"),
             ("wsets", example), ("wsets", blocks), ("wsets", conflicted),
             ("signsym", twin), ("signsym", conflicted),
             ("frobenius", blocks), ("frobenius", twin),
-            ("verify-corpus", str(manifest)), ("verify-corpus", str(manifest), "--rel-tol", "-1"),
+            ("verify-corpus", str(manifest)), ("verify-corpus", str(manifest), "--rel-tol", "1e-30"),
         ]
         fast = [run(*argv) for argv in invocations]
         assert {code for code, _, _ in fast} == {0, 1, 2}
@@ -684,7 +775,9 @@ class TestVerifyCorpus:
     def test_failures_exit_two(self, run, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"kind": "tp2", "n": 3, "seed": 1}]))
-        code, out, _ = run("verify-corpus", str(manifest), "--rel-tol", "-1")
+        # A band this wide holds lambda2 (about 0.11 rho), so the peripheral
+        # count is 2, not the 1 that T9.1 predicts.
+        code, out, _ = run("verify-corpus", str(manifest), "--peripheral-tol", "0.99")
         assert code == 2
         data = json.loads(out)
         assert len(data["failures"]) == 1
@@ -803,6 +896,33 @@ class TestErrorsAndEnvironment:
         assert out == ""
         assert err.startswith(prefix)
         assert "dimension 21 exceeds the supported maximum 20" in err
+
+    @pytest.mark.parametrize("command", ["gen", "compound", "signsym"])
+    def test_commands_without_spectra_import_no_scipy(self, tmp_path, command):
+        # scipy takes most of a second to import; these commands never need it.
+        probe = (
+            "import sys\n"
+            "from signspectra.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = (
+            ["gen", '{"kind": "tp2", "n": 4, "seed": 1}']
+            if command == "gen"
+            else [command, write_csv(tmp_path, EXAMPLE1)]
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "SIGNSPECTRA_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        assert proc.stderr == "[]\n"
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("signspectra")

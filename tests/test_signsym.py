@@ -109,6 +109,12 @@ class TestEnumerate:
         with pytest.raises(TooManyCertificatesError, match=r"^2\^4 certificates exceed the cap 15$"):
             enumerate_certificates(np.zeros((4, 4)), cap=15)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$") as err:
+            enumerate_certificates(np.zeros((2, 2)), cap=cap)
+        assert not isinstance(err.value, TooManyCertificatesError)
+
     def test_cap_is_checked_before_listing(self, monkeypatch):
         listed = []
         monkeypatch.setattr(SignConstraintGraph, "j_sets", lambda graph: listed.append(graph))

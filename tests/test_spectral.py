@@ -330,11 +330,32 @@ class TestClassifyRouting:
         assert c.spectrum.rho > 1e154
         assert np.isfinite(c.spectrum.backward_error_bound)
 
-    def test_negative_tolerance_forces_failure(self):
-        c = classify(EXAMPLE1, rel_tol=-1.0)
+    def test_tolerance_below_rounding_forces_failure(self):
+        # The computed 5th roots of unity are off by about 1e-16.
+        c = classify(EXAMPLE1, rel_tol=1e-30)
         assert c.theorem == "T8.2"
         assert not c.verified
         assert any(not p.verified for p in c.predictions)
+
+    @pytest.mark.parametrize(
+        "tolerances, message",
+        [
+            ({"rel_tol": -1.0}, "rel_tol must be finite and positive, got -1.0"),
+            ({"rel_tol": 0.0}, "rel_tol must be finite and positive, got 0.0"),
+            ({"rel_tol": float("nan")}, "rel_tol must be finite and positive, got nan"),
+            ({"rel_tol": float("inf")}, "rel_tol must be finite and positive, got inf"),
+            ({"peripheral_tol": 0.0}, r"peripheral_tol must lie in \(0, 1\), got 0.0"),
+            ({"peripheral_tol": 1.0}, r"peripheral_tol must lie in \(0, 1\), got 1.0"),
+            ({"peripheral_tol": 5.0}, r"peripheral_tol must lie in \(0, 1\), got 5.0"),
+            ({"peripheral_tol": float("nan")}, r"peripheral_tol must lie in \(0, 1\), got nan"),
+        ],
+    )
+    def test_invalid_tolerances_are_rejected(self, monkeypatch, tolerances, message):
+        # Rejected before any fact is computed.
+        calls = count_calls(monkeypatch, "eigenvalues", "sign_constraint_graph")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify(EXAMPLE1, **tolerances)
+        assert calls == {"eigenvalues": 0, "sign_constraint_graph": 0}
 
 
 class TestVerdict:
@@ -423,9 +444,9 @@ class TestCounterexampleBundle:
 
     def test_records_replay_tolerances_and_versions(self):
         a = np.asarray(EXAMPLE1)
-        c = classify(a, rel_tol=-1.0, peripheral_tol=1e-5)
+        c = classify(a, rel_tol=1e-30, peripheral_tol=1e-5)
         bundle = counterexample_bundle(a, c)
-        assert bundle["tolerances"] == {"rel_tol": -1.0, "peripheral_tol": 1e-5}
+        assert bundle["tolerances"] == {"rel_tol": 1e-30, "peripheral_tol": 1e-5}
         assert bundle["versions"] == {
             "signspectra": signspectra.__version__,
             "numpy": np.__version__,
@@ -434,7 +455,7 @@ class TestCounterexampleBundle:
 
     def test_records_failures(self):
         a = np.asarray(EXAMPLE1)
-        c = classify(a, rel_tol=-1.0)
+        c = classify(a, rel_tol=1e-30)
         bundle = counterexample_bundle(a, c)
         assert bundle["verified"] is False
         assert any(not p["verified"] for p in bundle["predictions"])

@@ -383,6 +383,18 @@ class TestEnumerateCandidates:
         with pytest.raises(TooManyCertificatesError):
             enumerate_w_candidates(np.zeros((6, 6)), cap=2**16)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_rejected(self, cap):
+        # A plain ValueError, not TooManyCertificatesError, which `analyze`
+        # would report as w_candidates.error.
+        graph_a = sign_constraint_graph(EXAMPLE1)
+        graph_c = sign_constraint_graph(compound2(EXAMPLE1))
+        with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$") as err:
+            w_candidates_from_graphs(graph_a, graph_c, cap)
+        assert not isinstance(err.value, TooManyCertificatesError)
+        with pytest.raises(ValueError, match="^cap must be at least 1"):
+            enumerate_w_candidates(EXAMPLE1, cap=cap)
+
     def test_compound_certificates_drive_jt(self):
         a = EXAMPLE1
         enum = enumerate_w_candidates(a)
