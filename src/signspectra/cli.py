@@ -285,8 +285,9 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_wsets(args) -> int:
-    from .wsets import enumerate_w_candidates
+    from .wsets import _check_cap, enumerate_w_candidates
 
+    _check_cap(args.cap)  # before the matrix is read
     m, _ = read_matrix(args.path, args.format)
     enum = enumerate_w_candidates(m, cap=args.cap)
     as_list = functools.cache(sorted)  # one list per distinct J or Jt set
@@ -322,8 +323,9 @@ def cmd_classify(args) -> int:
 def cmd_analyze(args) -> int:
     from .signsym import TooManyCertificatesError
     from .spectral import Facts, classify, counterexample_bundle
-    from .wsets import w_candidates_from_graphs
+    from .wsets import _check_cap, w_candidates_from_graphs
 
+    _check_cap(args.cap)  # also on routes that list no candidates
     m, fmt = read_matrix(args.path, args.format)
     facts = Facts(m)
     graph_c = facts.graph_c

@@ -8,6 +8,7 @@ lexicographic order.  Internally everything is plain numpy with the usual
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -62,6 +63,16 @@ def pair_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return n * (n - 1) // 2
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 0-based (i, j) of the pairs i < j in lexicographic order, as
+    `np.triu_indices(n, k=1)` gives them, kept for the last 16 sizes n: 8n(n-1)
+    bytes a table, 0.26 MB at n = 180 and 72 MB at n = 3000 (`build_w_hat` only)."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def pair_index(i: int, j: int, n: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _pair_table, as_matrix
 from .wsets import WSet, canonical_m
 
 __all__ = [
@@ -39,20 +39,15 @@ def _check_base_dimension(n: int) -> None:
         )
 
 
-def _minor_grid(a: np.ndarray, row_pairs: np.ndarray, col_pairs: np.ndarray) -> np.ndarray:
-    """Grid of 2x2 minors a(i,j;k,l) for 1-based (i,j) rows and (k,l) columns.
+def _minor_grid(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Grid of 2x2 minors a(i_p, j_p; i_q, j_q) over the 0-based pairs
+    (i_p, j_p), gathered by rows.
 
     Overflowing minors come out inf or nan without a warning; callers check.
     """
-    i = row_pairs[:, 0] - 1
-    j = row_pairs[:, 1] - 1
-    k = col_pairs[:, 0] - 1
-    l = col_pairs[:, 1] - 1
+    ai, aj = a[i], a[j]
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            a[i[:, None], k[None, :]] * a[j[:, None], l[None, :]]
-            - a[i[:, None], l[None, :]] * a[j[:, None], k[None, :]]
-        )
+        return ai[:, i] * aj[:, j] - ai[:, j] * aj[:, i]
 
 
 def compound2(a) -> np.ndarray:
@@ -65,9 +60,7 @@ def compound2(a) -> np.ndarray:
     if n < 2:
         raise ValueError(f"second compound needs n >= 2, got n={n}")
     _check_base_dimension(n)
-    i0, j0 = np.triu_indices(n, k=1)
-    pairs = np.column_stack([i0, j0]) + 1
-    return _minor_grid(m, pairs, pairs)
+    return _minor_grid(m, *_pair_table(n))
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,7 @@ def w_matrix(a, w: WSet) -> WMatrix:
         raise ValueError(f"W set is over 1..{w.n} but the matrix has n={n}")
     _check_base_dimension(n)
     pairs = w.pairs
-    entries = _minor_grid(m, pairs, pairs) if len(pairs) else np.zeros((0, 0))
+    entries = _minor_grid(m, pairs[:, 0] - 1, pairs[:, 1] - 1)
     return WMatrix(n, w, tuple((int(i), int(j)) for i, j in pairs), entries)
 
 
@@ -159,7 +152,7 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
         if tol == float("inf"):
             raise ValueError(f"rho^2 overflows for rho = {spec.rho!r}")
     lam = spec.values
-    i0, j0 = np.triu_indices(n, k=1)
+    i0, j0 = _pair_table(n)
     products = lam[i0] * lam[j0]
     match = match_complex_multisets(products, w_eigs, tol)
     return EigenProductCheck(match.ok, float(tol), match.max_distance, products, w_eigs)

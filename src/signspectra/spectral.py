@@ -151,8 +151,17 @@ def _roots_targets(modulus: float, k: int) -> np.ndarray:
     return modulus * np.exp(2j * np.pi * t / k)
 
 
+def _check_band(tol: float, name: str) -> None:
+    """The peripheral band rho * (1 - tol) needs tol in (0, 1)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
+
+
 def peripheral_spectrum(a, rel_tol: float = DEFAULT_PERIPHERAL_TOL) -> PeripheralGroup:
-    """Extract the peripheral eigenvalue group of a matrix or a Spectrum."""
+    """Extract the peripheral eigenvalue group of a matrix or a Spectrum.
+
+    `rel_tol` must lie in (0, 1); other values raise ValueError."""
+    _check_band(rel_tol, "rel_tol")
     spec = a if isinstance(a, Spectrum) else eigenvalues(a)
     rho = spec.rho
     if rho == 0.0:
@@ -418,8 +427,7 @@ def _classification(
 def _check_tolerances(rel_tol: float, peripheral_tol: float) -> None:
     if not 0.0 < rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
-    if not 0.0 < peripheral_tol < 1.0:
-        raise ValueError(f"peripheral_tol must lie in (0, 1), got {peripheral_tol!r}")
+    _check_band(peripheral_tol, "peripheral_tol")
 
 
 def classify(

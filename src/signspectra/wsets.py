@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .core import Permutation, _BuiltOnAccess, pair_count
+from .core import Permutation, _BuiltOnAccess, _pair_table, pair_count
 from .signsym import SignConstraintGraph, TooManyCertificatesError, _row_sets
 
 __all__ = [
@@ -196,13 +196,13 @@ def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
 
     member = np.eye(n, dtype=bool)
     if n >= 2:
-        i0, j0 = np.triu_indices(n, k=1)
+        i0, j0 = _pair_table(n)
         in_j = np.zeros(n + 1, dtype=bool)
         in_j[list(j_set)] = True
         in_jt = np.zeros(mp + 1, dtype=bool)
         in_jt[list(jt_set)] = True
-        # triu_indices lists the pairs in lexicographic order, so the pair at
-        # 0-based position p has 1-based position p + 1 in Jt.
+        # The pair table lists the pairs in lexicographic order, so the pair
+        # at 0-based position p has 1-based position p + 1 in Jt.
         keep = (in_j[i0 + 1] == in_j[j0 + 1]) == in_jt[1:]
         member[i0, j0] = keep
         member[j0, i0] = ~keep
@@ -264,8 +264,7 @@ def w_candidates_from_graphs(
 ) -> WCandidateEnumeration:
     """`enumerate_w_candidates` from the sign-constraint graphs of an n x n
     matrix and of its second compound (None for n = 1)."""
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    _check_cap(cap)
     n = graph_a.n
     graph_a.require_consistent()
     components = len(graph_a.components)
@@ -284,7 +283,7 @@ def w_candidates_from_graphs(
     # have width 0, and one trivial pair-level certificate.
     s = graph_a.flip_rows()
     t = graph_c.flip_rows() if graph_c else np.zeros((1, 0), dtype=bool)
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pair_table(n)
     keys = np.packbits(s[:, i] == s[:, j], axis=1)[:, None] ^ np.packbits(t, axis=1)
     keys = keys.reshape(len(s) * len(t), keys.shape[2])
     first, group = _group_rows(keys)
@@ -313,6 +312,11 @@ def w_candidates_from_graphs(
     return WCandidateEnumeration(
         _BuiltOnAccess(len(first), candidate), bool(checks[0].any()), len(s), len(t)
     )
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
 
 
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,13 +372,13 @@ def find_transitive_w(
     # Variable k is f_k and variable ca + k is g_k.  A literal is an
     # expression id, indexing `masks`, and a constant; each pair p = (i, j)
     # starts with its own expression f_comp(i) ^ f_comp(j) ^ g_comp(p).
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pair_table(n)
     masks = [
         (1 << a) ^ (1 << b) ^ (1 << (ca + g))
         for a, b, g in zip(comp_a[i].tolist(), comp_a[j].tolist(), comp_c.tolist())
     ]
     const = colour_a[i] ^ colour_a[j] ^ colour_c
-    lits = np.column_stack(_triangle_sides(n, i, j))
+    lits = _triangle_sides(n)
     consts = const[lits]
     consts[:, 2] ^= 1
 
@@ -416,9 +420,13 @@ def find_transitive_w(
     return j_set, jt_set
 
 
-def _triangle_sides(n: int, i: np.ndarray, j: np.ndarray):
-    """0-based lexicographic positions of the pairs ij, jk and ik of every
-    triangle i < j < k, given the pairs (i, j) in lexicographic order."""
+@lru_cache(maxsize=16)
+def _triangle_sides(n: int) -> np.ndarray:
+    """Read-only 0-based positions of the pairs ij, jk and ik of each triangle
+    i < j < k, a row each in lexicographic order, kept for the last 16 sizes n:
+    4n(n-1)(n-2) bytes a table, 1.8 MB at n = 77, the largest n whose compound
+    fits in MAX_DIMENSION."""
+    i, j = _pair_table(n)
     width = n - 1 - j
     ii = np.repeat(i, width)
     jj = np.repeat(j, width)
@@ -428,7 +436,9 @@ def _triangle_sides(n: int, i: np.ndarray, j: np.ndarray):
     def position(a, b):
         return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
-    return position(ii, jj), position(jj, kk), position(ii, kk)
+    sides = np.column_stack([position(ii, jj), position(jj, kk), position(ii, kk)])
+    sides.flags.writeable = False
+    return sides
 
 
 def _fold_triangles(lits: np.ndarray, consts: np.ndarray):

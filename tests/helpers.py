@@ -93,6 +93,21 @@ def random_wset(n: int, rng: np.random.Generator):
     return WSet(n, member)
 
 
+def reference_minor_grid(a, pairs) -> np.ndarray:
+    """Grid of 2x2 minors by the definition, one entry at a time: entry
+    (p, q) is a[i, k] a[j, l] - a[i, l] a[j, k] for the 1-based pairs
+    p = (i, j) and q = (k, l).  Python floats round each product and the
+    difference as numpy does, and overflow to inf (and inf - inf to nan)
+    without a warning."""
+    m = np.asarray(a, dtype=float).tolist()
+    idx = [(int(i) - 1, int(j) - 1) for i, j in pairs]
+    out = np.empty((len(idx), len(idx)))
+    for p, (i, j) in enumerate(idx):
+        for q, (k, l) in enumerate(idx):
+            out[p, q] = m[i][k] * m[j][l] - m[i][l] * m[j][k]
+    return out
+
+
 def brute_force_j_sets(a: np.ndarray) -> set[frozenset[int]]:
     """All J making the +-1 diagonal conjugation nonnegative, by trying
     every one of the 2^n subsets at once."""

@@ -318,6 +318,15 @@ class TestInvalidFlags:
         path = write_csv(tmp_path, self.THREE_CYCLE)
         assert run(command, path, *flags) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["analyze", "wsets"])
+    def test_cap_is_checked_before_the_matrix_is_read(self, run, tmp_path, command):
+        # Neither the missing file nor the rotation, which is not
+        # sign-symmetric and so lists no candidates, is reached.
+        message = "error: cap must be at least 1, got -5\n"
+        assert run(command, str(tmp_path / "missing.csv"), "--cap", "-5") == (1, "", message)
+        path = write_csv(tmp_path, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert run(command, path, "--cap", "-5") == (1, "", message)
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from signspectra.core import (
     MAX_DIMENSION,
     Permutation,
+    _pair_table,
     as_matrix,
     pair_count,
     pair_index,
     pair_unindex,
 )
-from signspectra.exterior import compound2
+from signspectra.exterior import compound2, verify_eigenvalue_products
+from signspectra.gen import cyclic_h
+from signspectra.spectral import classify
+from signspectra.wsets import _triangle_sides, build_w_hat, enumerate_w_candidates
 
-from helpers import EXAMPLE1
+from helpers import EXAMPLE1, STABLE_ODD_CELLS, reference_minor_grid
 
 
 class TestAsMatrix:
@@ -106,13 +110,74 @@ class TestPairIndexing:
         assert pair_index(i, j, n) == alpha
 
     def test_indexer_pairs_table(self):
-        # pair_index numbers the pairs in the row order of np.triu_indices,
+        # pair_index numbers the pairs in the order of the shared pair table,
         # which is how compound2 lays out its rows and columns.
-        i0, j0 = np.triu_indices(5, k=1)
+        i0, j0 = _pair_table(5)
         assert pair_count(5) == len(i0) == 10
         for alpha, (i, j) in enumerate(zip(i0 + 1, j0 + 1), start=1):
             assert pair_index(int(i), int(j), 5) == alpha
             assert pair_unindex(alpha, 5) == (i, j)
+
+
+class TestIndexTables:
+    """The pair and triangle tables are built once per n and shared read-only,
+    so a refactor cannot quietly go back to rebuilding them per call."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pair_table_is_triu_indices(self, n):
+        i0, j0 = _pair_table(n)
+        assert np.array_equal(i0, np.triu_indices(n, k=1)[0])
+        assert np.array_equal(j0, np.triu_indices(n, k=1)[1])
+
+    @staticmethod
+    def run_pass(bases):
+        # classify reaches compound2 and find_transitive_w; the listing, the
+        # product check and build_w_hat are the other readers of the tables.
+        for a in bases:
+            assert classify(a).theorem == "T8.2"
+            enumerate_w_candidates(a)
+            verify_eigenvalue_products(a)
+            build_w_hat((), (), len(a))
+
+    def test_second_pass_builds_no_table(self, monkeypatch):
+        bases = [cyclic_h(n, h, seed=i) for i, (n, h) in enumerate(STABLE_ODD_CELLS)]
+        self.run_pass(bases)
+        before = [_pair_table.cache_info(), _triangle_sides.cache_info()]
+        # No call site may build its own pair table either.
+        built = []
+        triu_indices = np.triu_indices
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return triu_indices(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counted)
+        self.run_pass(bases)
+        after = [_pair_table.cache_info(), _triangle_sides.cache_info()]
+        for old, new in zip(before, after):
+            assert new.misses == old.misses
+            assert new.hits >= old.hits + len(bases)
+        assert built == []
+
+    def test_tables_are_read_only(self):
+        i0, j0 = _pair_table(6)
+        sides = _triangle_sides(6)
+        for table, index in ((i0, 0), (j0, 0), (sides, (0, 0))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[index] = 3
+
+    def test_interleaved_sizes_give_fresh_compounds(self):
+        rng = np.random.default_rng(8)
+        a5, a12 = rng.normal(size=(5, 5)), rng.normal(size=(12, 12))
+        _pair_table.cache_clear()
+        fresh = compound2(a5)
+        compound2(a12)
+        assert np.array_equal(compound2(a5), fresh)
+        pairs = list(itertools.combinations(range(1, 6), 2))
+        assert np.array_equal(fresh, reference_minor_grid(a5, pairs))
+        assert np.array_equal(
+            compound2(a12), reference_minor_grid(a12, itertools.combinations(range(1, 13), 2))
+        )
 
 
 class TestMinor2:

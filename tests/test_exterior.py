@@ -1,7 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signspectra.core import pair_count
 from signspectra.exterior import (
@@ -19,6 +22,7 @@ from helpers import (
     EXAMPLE1_COMPOUND,
     hungarian_close,
     random_wset,
+    reference_minor_grid,
 )
 
 
@@ -94,6 +98,35 @@ class TestWMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="n=3"):
             w_matrix(np.eye(3), canonical_m(4))
+
+
+# Entries near 1e200 make some minors overflow to inf, and inf - inf to nan.
+LARGE_ENTRIES = st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e200, -3e200, 7e199])
+
+
+class TestMinorGridOracle:
+    """compound2 and w_matrix gather their minors by rows; the definition,
+    evaluated entry by entry, must give the same bits, inf and nan included."""
+
+    @given(st.integers(min_value=2, max_value=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, n, data):
+        a = np.array(data.draw(st.lists(LARGE_ENTRIES, min_size=n * n, max_size=n * n)))
+        a = a.reshape(n, n)
+        natural = list(itertools.combinations(range(1, n + 1), 2))
+        assert np.array_equal(compound2(a), reference_minor_grid(a, natural), equal_nan=True)
+        w = random_wset(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        expected = reference_minor_grid(a, w.pairs)
+        assert np.array_equal(w_matrix(a, w).entries, expected, equal_nan=True)
+
+    def test_overflowing_minors(self):
+        a = np.array([[1e200, 1e200, 1.0], [1e200, 1e200, 1.0], [1.0, 2.0, 1e200]])
+        c = compound2(a)
+        assert np.isnan(c).any() and np.isinf(c).any()
+        assert np.array_equal(c, reference_minor_grid(a, [(1, 2), (1, 3), (2, 3)]), equal_nan=True)
+        w = WSet(3, np.tril(np.ones((3, 3), dtype=bool)))
+        expected = reference_minor_grid(a, w.pairs)
+        assert np.array_equal(w_matrix(a, w).entries, expected, equal_nan=True)
 
 
 class TestExteriorProduct:

@@ -134,6 +134,12 @@ class TestPeripheralSpectrum:
         assert per.count == 5
         assert np.array_equal(per.values, peripheral_spectrum(EXAMPLE1).values)
 
+    @pytest.mark.parametrize("rel_tol", [5.0, -1.0, 0.0, 1.0, float("nan")])
+    def test_band_outside_unit_interval_is_rejected(self, rel_tol):
+        # Unchecked, 5 would count both eigenvalues 3 and 1 and -1 neither.
+        with pytest.raises(ValueError, match=rf"^rel_tol must lie in \(0, 1\), got {rel_tol!r}$"):
+            peripheral_spectrum([[2.0, 1.0], [1.0, 2.0]], rel_tol=rel_tol)
+
 
 class TestClassifyRouting:
     def test_doubly_positive_routes_t91(self):

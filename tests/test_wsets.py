@@ -1,4 +1,5 @@
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from signspectra.wsets import (
     WSet,
     _check_at,
     _check_transitivity,
+    _triangle_sides,
     build_w_hat,
     canonical_m,
     enumerate_w_candidates,
@@ -572,6 +574,16 @@ class TestListingBuiltOnAccess:
 
 
 class TestFindTransitiveW:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_triangle_sides_match_pair_index(self, n):
+        # Rows: the pairs ij, jk and ik of each triangle i < j < k, 0-based.
+        expected = [
+            [pair_index(i + 1, j + 1, n) - 1, pair_index(j + 1, k + 1, n) - 1,
+             pair_index(i + 1, k + 1, n) - 1]
+            for i, j, k in itertools.combinations(range(n), 3)
+        ]
+        assert np.array_equal(_triangle_sides(n), expected)
+
     @given(oracle_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_enumeration(self, a):
