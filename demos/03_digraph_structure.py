@@ -10,7 +10,6 @@ import numpy as np
 from signspectra.digraph import (
     frobenius_form,
     imprimitivity_index,
-    irreducibility_path,
     is_irreducible,
 )
 from signspectra.gen import cyclic_h
@@ -43,12 +42,10 @@ full = np.linalg.eigvals(a)
 print("spectrum equals the union of block spectra:",
       match_complex_multisets(full, union, tol=1e-9).ok)
 
-# An irreducible matrix with cyclic structure: closed walks exist through
-# every vertex, and all cycle lengths share the index h as a divisor.
+# An irreducible matrix with cyclic structure: all cycle lengths share the
+# index h as a divisor, and every arc moves one cyclic class forward.
 c = cyclic_h(9, 3, seed=1)
 print("\ncyclic example: irreducible =", is_irreducible(c))
-walk = irreducibility_path(c)
-print("closed walk through all vertices:", walk)
 idx = imprimitivity_index(c)
 print("index of imprimitivity h =", idx.h)
 print("cyclic classes:", idx.cyclic_classes)

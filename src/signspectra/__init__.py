@@ -51,16 +51,12 @@ _EXPORTS = {
     "detect": "signsym",
     "enumerate_certificates": "signsym",
     "verify_certificate": "signsym",
-    "principal_submatrix_certificate": "signsym",
-    "trace_bound": "signsym",
     "ReducibleInputError": "digraph",
     "is_irreducible": "digraph",
-    "irreducibility_path": "digraph",
     "FrobeniusForm": "digraph",
     "frobenius_form": "digraph",
     "ImprimitivityIndex": "digraph",
     "imprimitivity_index": "digraph",
-    "is_primitive": "digraph",
     "WSet": "wsets",
     "canonical_m": "wsets",
     "is_transitive": "wsets",
@@ -73,7 +69,6 @@ _EXPORTS = {
     "Classification": "spectral",
     "Facts": "spectral",
     "classify": "spectral",
-    "second_eigenvalue_claims": "spectral",
     "counterexample_bundle": "spectral",
     "GenSpec": "gen",
     "generate": "gen",

@@ -424,7 +424,7 @@ def cmd_gen(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in spec file {text}: {exc}") from exc
     matrix = generate(GenSpec.from_dict(data))
-    _emit_matrix(matrix, args.format if args.format != "auto" else "csv", args.out)
+    _emit_matrix(matrix, _infer_format(args.out or "", args.format), args.out)
     return 0
 
 

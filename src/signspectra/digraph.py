@@ -16,7 +16,6 @@ components with scipy.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,10 @@ from .core import Permutation, as_matrix
 __all__ = [
     "ReducibleInputError",
     "is_irreducible",
-    "irreducibility_path",
     "FrobeniusForm",
     "frobenius_form",
     "ImprimitivityIndex",
     "imprimitivity_index",
-    "is_primitive",
 ]
 
 
@@ -76,48 +73,6 @@ def _bfs_levels(indptr: list[int], cols: list[int]) -> list[int]:
 def is_irreducible(a) -> bool:
     """True when the digraph of `a` is strongly connected (n = 1: always)."""
     return _pattern_index(as_matrix(a)) is not None
-
-
-def _shortest_path(
-    indptr: list[int], cols: list[int], src: int, dst: int
-) -> list[int]:
-    """BFS path src..dst as a node list including both ends."""
-    if src == dst:
-        return [src]
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in cols[indptr[u]:indptr[u + 1]]:
-            if v not in parent:
-                parent[v] = u
-                if v == dst:
-                    path = [v]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(v)
-    raise AssertionError("no path in a strongly connected digraph")
-
-
-def irreducibility_path(a) -> list[int] | None:
-    """A closed walk through every node, as a 1-based list with equal ends.
-
-    Returns None when `a` is reducible.  For n = 1 the walk needs a loop:
-    [1, 1] when the single entry is nonzero, else None.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if n == 1:
-        return [1, 1] if m[0, 0] != 0 else None
-    if not is_irreducible(m):
-        return None
-    adj = _adjacency(*np.nonzero(m), n)
-    walk = [0]
-    for target in range(1, n):
-        walk.extend(_shortest_path(*adj, walk[-1], target)[1:])
-    walk.extend(_shortest_path(*adj, walk[-1], 0)[1:])
-    return [u + 1 for u in walk]
 
 
 @dataclass(frozen=True)
@@ -251,8 +206,3 @@ def imprimitivity_index(a) -> ImprimitivityIndex:
     if index is None:
         raise ReducibleInputError("imprimitivity index requires an irreducible matrix")
     return index
-
-
-def is_primitive(a) -> bool:
-    """True when the matrix is irreducible with imprimitivity index 1."""
-    return imprimitivity_index(a).h == 1

@@ -31,8 +31,6 @@ __all__ = [
     "detect",
     "enumerate_certificates",
     "verify_certificate",
-    "principal_submatrix_certificate",
-    "trace_bound",
 ]
 
 DEFAULT_CERTIFICATE_CAP = 2**20
@@ -259,32 +257,3 @@ def verify_certificate(a, cert: JCertificate) -> bool:
     d = np.asarray(cert.d_signs, dtype=float)
     a_tilde = d[:, None] * m * d[None, :]
     return bool((a_tilde >= 0).all() and np.array_equal(a_tilde, cert.a_tilde))
-
-
-def principal_submatrix_certificate(a, alpha, cert: JCertificate) -> JCertificate:
-    """Certificate for the principal submatrix on rows and columns `alpha`.
-
-    `alpha` is a set of 1-based indices; positions in the submatrix are
-    renumbered 1..len(alpha) in increasing original index, and the new J is
-    the trace of cert's J on alpha.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    idx = sorted(set(int(v) for v in alpha))
-    if not idx:
-        raise ValueError("alpha must be nonempty")
-    if idx[0] < 1 or idx[-1] > n:
-        raise ValueError(f"alpha must be a subset of 1..{n}, got {idx}")
-    if not verify_certificate(m, cert):
-        raise ValueError("certificate does not verify against the matrix")
-    j_sub = frozenset(p + 1 for p, orig in enumerate(idx) if orig in cert.j_set)
-    sub = m[np.ix_([v - 1 for v in idx], [v - 1 for v in idx])]
-    return _certificate(sub, j_sub)
-
-
-def trace_bound(a) -> float:
-    """Lower bound trace(a)/n for the spectral radius of a sign-symmetric
-    matrix.  Raises NotSignSymmetricError when the structure is absent."""
-    m = as_matrix(a)
-    sign_constraint_graph(m).require_consistent()
-    return float(np.trace(m) / m.shape[0])

@@ -64,8 +64,6 @@ __all__ = [
     "Classification",
     "Facts",
     "classify",
-    "SecondEigenvalueReport",
-    "second_eigenvalue_claims",
     "counterexample_bundle",
 ]
 
@@ -675,33 +673,6 @@ def _classify_reducible(facts, peripheral, tol):
         f"matrix reducible with {len(form.block_sizes)} diagonal blocks,"
         f" {mult} attaining the spectral radius",
         compound_irreducible=facts.compound_irreducible, rho_multiplicity=mult,
-    )
-
-
-@dataclass(frozen=True)
-class SecondEigenvalueReport:
-    """Second-eigenvalue checks for the leaves that make such claims
-    (T8.1, T9.1, T10); `applicable` is False elsewhere."""
-
-    applicable: bool
-    theorem: str
-    checks: tuple[Prediction, ...]
-    passed: bool
-
-
-def second_eigenvalue_claims(
-    a, classification: Classification | None = None
-) -> SecondEigenvalueReport:
-    """Extract and evaluate the second-eigenvalue claims of a classification.
-
-    Classifies `a` first when no classification is supplied.
-    """
-    c = classification if classification is not None else classify(a)
-    if c.theorem not in ("T8.1", "T9.1", "T10"):
-        return SecondEigenvalueReport(False, c.theorem, (), True)
-    checks = tuple(p for p in c.predictions if p.claim.startswith("second_"))
-    return SecondEigenvalueReport(
-        True, c.theorem, checks, all(p.verified for p in checks)
     )
 
 

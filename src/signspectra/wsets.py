@@ -252,6 +252,7 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
     """
     from .spectral import Facts
 
+    _check_cap(cap)
     facts = Facts(a)
     facts.graph_a.require_consistent()
     return w_candidates_from_graphs(facts.graph_a, facts.graph_c, cap)

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from signspectra.cli import main
+from signspectra.core import pair_unindex
 from signspectra.digraph import frobenius_form, imprimitivity_index, is_irreducible
-from signspectra.exterior import verify_eigenvalue_products
+from signspectra.exterior import exterior_product, verify_eigenvalue_products, w_matrix
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.gen import nonneg_irreducible
 from signspectra.signsym import JCertificate, detect, enumerate_certificates
+from signspectra.signsym import verify_certificate
 from signspectra.signsym import sign_constraint_graph
 from signspectra.spectral import classify, counterexample_bundle, eigenvalues
 from signspectra.spectral import peripheral_spectrum
@@ -73,6 +75,15 @@ def test_criterion_01_compound_command_reproduces_worked_example_exactly(
     assert parsed.shape == (10, 10)
     assert np.array_equal(parsed, EXAMPLE1_COMPOUND)
     assert elapsed < 1.0
+    # Entry (alpha, beta) is the minor on the rows of pair alpha and the
+    # columns of pair beta, the positions `wsets` and `analyze` print.
+    a = EXAMPLE1
+    for alpha in range(1, 11):
+        i, j = pair_unindex(alpha, 5)
+        for beta in range(1, 11):
+            p, q = pair_unindex(beta, 5)
+            minor = a[i - 1, p - 1] * a[j - 1, q - 1] - a[i - 1, q - 1] * a[j - 1, p - 1]
+            assert EXAMPLE1_COMPOUND[alpha - 1, beta - 1] == minor
 
 
 def test_criterion_02_compound_certificates_are_the_four_known_sets():
@@ -102,6 +113,7 @@ def test_criterion_03_analyze_routes_worked_example_to_odd_cycle_case(
 
 def test_criterion_04_eigenvalue_products_match_for_random_w_matrices():
     rng = np.random.default_rng(20260401)
+    vectors = np.random.default_rng(20260411)  # own stream: x, y do not shift a, w
     sizes = [3, 4, 5, 6]
     start = time.perf_counter()
     failures = 0
@@ -113,6 +125,12 @@ def test_criterion_04_eigenvalue_products_match_for_random_w_matrices():
             check = verify_eigenvalue_products(a, w)
             if not check.ok:
                 failures += 1
+            # The W matrix is the action C2(A)(x ^ y) = (Ax) ^ (Ay).
+            x, y = vectors.standard_normal((2, n))
+            assert np.allclose(
+                w_matrix(a, w).entries @ exterior_product(x, y, w),
+                exterior_product(a @ x, a @ y, w),
+            )
     elapsed = time.perf_counter() - start
     assert failures == 0
     assert elapsed < 60.0
@@ -131,6 +149,12 @@ def test_criterion_05_detection_matches_exhaustive_sign_search():
         assert isinstance(res, JCertificate) == bool(expected)
         if expected:
             assert set(sign_constraint_graph(a).j_sets()) == expected
+            # Each certificate replays D A D >= 0, and D (-A) D has a
+            # negative entry unless A = 0.
+            for cert in enumerate_certificates(a):
+                assert verify_certificate(a, cert)
+                if a.any():
+                    assert not verify_certificate(-a, cert)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
 

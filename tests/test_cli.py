@@ -714,6 +714,17 @@ class TestGen:
         assert data["n"] == 3
         assert data["rows"][2] == [1, 3, 6]
 
+    def test_json_out_path_round_trips_through_classify(self, run, tmp_path):
+        spec = '{"kind": "cyclic_h", "n": 6, "h": 3, "seed": 4}'
+        target = tmp_path / "A.json"
+        assert run("gen", spec, "--out", str(target)) == (0, "", "")
+        assert json.loads(target.read_text())["n"] == 6
+        code, out, err = run("classify", str(target))
+        assert (code, err) == (0, "")
+        _, text, _ = run("gen", spec)  # stdout stays CSV
+        (tmp_path / "A.csv").write_text(text)
+        assert run("classify", str(tmp_path / "A.csv")) == (0, out, "")
+
     def test_bad_spec_is_input_error(self, run):
         code, _, err = run("gen", "not json and not a file")
         assert code == 1

@@ -10,9 +10,7 @@ from signspectra.digraph import (
     ReducibleInputError,
     frobenius_form,
     imprimitivity_index,
-    irreducibility_path,
     is_irreducible,
-    is_primitive,
 )
 from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, tp2
 from signspectra.spectral import classify
@@ -172,27 +170,6 @@ class TestStrongComponentCalls:
         assert calls == {"connected_components": 0, "is_irreducible": 0}
 
 
-class TestIrreducibilityPath:
-    def test_closed_walk_covers_all_nodes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            n = int(rng.integers(2, 10))
-            a = nonneg_irreducible(n, density=0.2, seed=int(rng.integers(0, 10**6)))
-            walk = irreducibility_path(a)
-            assert walk is not None
-            assert walk[0] == walk[-1]
-            assert set(walk) == set(range(1, n + 1))
-            for u, v in zip(walk, walk[1:]):
-                assert a[u - 1, v - 1] != 0
-
-    def test_reducible_gives_none(self):
-        assert irreducibility_path(np.array([[1.0, 1.0], [0.0, 2.0]])) is None
-
-    def test_one_by_one(self):
-        assert irreducibility_path(np.array([[3.0]])) == [1, 1]
-        assert irreducibility_path(np.zeros((1, 1))) is None
-
-
 class TestFrobeniusForm:
     def test_two_block_triangular(self):
         form = frobenius_form(np.array([[1.0, 1.0], [0.0, 2.0]]))
@@ -267,7 +244,6 @@ class TestImprimitivity:
         res = imprimitivity_index(np.ones((3, 3)))
         assert res.h == 1
         assert res.cyclic_classes == ((1, 2, 3),)
-        assert is_primitive(np.ones((3, 3)))
 
     def test_classes_partition_and_arcs_advance(self):
         rng = np.random.default_rng(31)
@@ -321,7 +297,7 @@ class TestImprimitivity:
             pattern = (a != 0).astype(object)
             power = np.linalg.matrix_power(pattern, (n - 1) ** 2 + 1)
             expected = bool((power > 0).all())
-            assert is_primitive(a) == expected
+            assert (imprimitivity_index(a).h == 1) == expected
             seen[expected] += 1
         assert seen[True] > 0 and seen[False] > 0
 

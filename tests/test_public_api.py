@@ -1,8 +1,10 @@
 """The documented library surface: every name in the README "Library"
-table imports from its module, and every lazy export of the package is
-the object its module lists in `__all__`."""
+table imports from its module, every function the package exports from a
+tabled module is named in that module's row, and every lazy export of the
+package is the object its module lists in `__all__`."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -32,6 +34,18 @@ def test_readme_library_names_import():
         mod = importlib.import_module(module)
         assert names, module
         assert [name for name in names if not hasattr(mod, name)] == [], module
+
+
+def test_exported_functions_are_in_readme_table():
+    rows = library_table()
+    missing = [
+        name
+        for name, module in signspectra._EXPORTS.items()
+        if f"signspectra.{module}" in rows
+        and inspect.isfunction(getattr(signspectra, name))
+        and name not in rows[f"signspectra.{module}"]
+    ]
+    assert missing == []
 
 
 def test_package_exports_are_module_names():

@@ -13,9 +13,7 @@ from signspectra.signsym import (
     TooManyCertificatesError,
     detect,
     enumerate_certificates,
-    principal_submatrix_certificate,
     sign_constraint_graph,
-    trace_bound,
     verify_certificate,
 )
 from signspectra.spectral import eigenvalues
@@ -185,58 +183,6 @@ class TestVerify:
         cert = detect(np.ones((3, 3)))
         with pytest.raises(ValueError, match="dimension"):
             verify_certificate(np.ones((4, 4)), cert)
-
-
-class TestPrincipalSubmatrix:
-    def test_inherits_structure(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            base = rng.uniform(0.0, 1.0, size=(n, n))
-            j = frozenset(
-                int(i) + 1 for i in range(n) if rng.random() < 0.5
-            )
-            a = scrambled(base, j_set=j, seed=0)
-            cert = detect(a)
-            size = int(rng.integers(1, n + 1))
-            alpha = sorted(rng.choice(n, size=size, replace=False) + 1)
-            sub_cert = principal_submatrix_certificate(a, alpha, cert)
-            sub = a[np.ix_([v - 1 for v in alpha], [v - 1 for v in alpha])]
-            assert verify_certificate(sub, sub_cert)
-            expected_j = frozenset(
-                p + 1 for p, orig in enumerate(alpha) if orig in cert.j_set
-            )
-            assert sub_cert.j_set == expected_j
-
-    def test_rejects_bad_alpha(self):
-        cert = detect(np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            principal_submatrix_certificate(np.ones((3, 3)), [], cert)
-        with pytest.raises(ValueError):
-            principal_submatrix_certificate(np.ones((3, 3)), [0, 1], cert)
-
-    def test_rejects_stale_certificate(self):
-        cert = detect(np.ones((3, 3)))
-        other = np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="does not verify"):
-            principal_submatrix_certificate(other, [1, 2], cert)
-
-
-class TestTraceBound:
-    def test_bounds_spectral_radius(self):
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            n = int(rng.integers(1, 8))
-            base = rng.uniform(0.0, 1.0, size=(n, n))
-            a = scrambled(base, seed=int(rng.integers(0, 100)))
-            assert eigenvalues(a).rho >= trace_bound(a) - 1e-12
-
-    def test_exact_for_identity(self):
-        assert trace_bound(np.eye(4)) == 1.0
-
-    def test_requires_structure(self):
-        with pytest.raises(NotSignSymmetricError):
-            trace_bound(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestConstraintGraph:

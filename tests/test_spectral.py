@@ -15,7 +15,6 @@ from signspectra.spectral import (
     eigenvalues,
     match_complex_multisets,
     peripheral_spectrum,
-    second_eigenvalue_claims,
 )
 
 from helpers import EXAMPLE1, count_calls, cycle_matrix
@@ -392,37 +391,6 @@ class TestVerdict:
             for leaf in leaves(classify(a).verdict()):
                 assert isinstance(leaf, (str, bool, int, type(None)))
                 assert not isinstance(leaf, float)
-
-
-class TestSecondEigenvalueReport:
-    def test_applicable_for_t91(self):
-        a = tp2(4, seed=2)
-        rep = second_eigenvalue_claims(a)
-        assert rep.applicable
-        assert rep.theorem == "T9.1"
-        assert rep.passed
-        assert all(p.claim.startswith("second_") for p in rep.checks)
-        assert len(rep.checks) == 3
-
-    def test_applicable_for_t10(self):
-        rep = second_eigenvalue_claims(np.ones((2, 2)))
-        assert rep.applicable
-        assert rep.theorem == "T10"
-        assert len(rep.checks) == 2
-        assert rep.passed
-
-    def test_not_applicable_for_t82(self):
-        rep = second_eigenvalue_claims(EXAMPLE1)
-        assert not rep.applicable
-        assert rep.theorem == "T8.2"
-        assert rep.checks == ()
-        assert rep.passed
-
-    def test_reuses_given_classification(self):
-        a = tp2(3, seed=4)
-        c = classify(a)
-        rep = second_eigenvalue_claims(a, c)
-        assert rep.applicable and rep.theorem == c.theorem
 
 
 class TestCounterexampleBundle:

@@ -394,8 +394,10 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$") as err:
             w_candidates_from_graphs(graph_a, graph_c, cap)
         assert not isinstance(err.value, TooManyCertificatesError)
-        with pytest.raises(ValueError, match="^cap must be at least 1"):
-            enumerate_w_candidates(EXAMPLE1, cap=cap)
+        # The rotation is not sign-symmetric: the cap is checked first.
+        for a in (EXAMPLE1, [[0, 1], [-1, 0]]):
+            with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$"):
+                enumerate_w_candidates(a, cap=cap)
 
     def test_compound_certificates_drive_jt(self):
         a = EXAMPLE1
