@@ -3,7 +3,8 @@
 The second compound A^(2) collects all 2x2 minors of A on the C(n,2) index
 pairs.  Its eigenvalues are exactly the pairwise products of eigenvalues
 of A, and the same law holds for every W-matrix, whichever orientation of
-the index pairs is chosen.
+the index pairs is chosen.  `verify_eigenvalue_products` certifies it with a
+backward-error residual from one Schur form of A.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ print(c)
 
 check = verify_eigenvalue_products(a)
 print("\neig(A^(2)) equals all products lambda_i * lambda_j:", check.ok)
-print("largest pairing distance:", f"{check.max_distance:.2e}")
+print("certificate residual:", f"{check.residual:.2e}", "within", f"{check.tol:.2e}")
 
 # The canonical orientation keeps the upper position of every pair; any
 # other valid orientation gives a different matrix with the same spectrum.

@@ -39,7 +39,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, as_matrix
+from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, Permutation, as_matrix
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
@@ -112,8 +112,12 @@ class MatchResult:
 
 
 def match_complex_multisets(a, b, tol: float) -> MatchResult:
-    """Optimal pairing of two complex multisets; ok when every matched pair
-    is within `tol` and the sizes agree."""
+    """Pairing of two complex multisets; ok when the sizes agree and some
+    pairing keeps every matched pair within `tol`.
+
+    `max_distance` is the largest distance of the min-sum pairing, or of a
+    pairing within `tol` when the min-sum one is not.
+    """
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
     if av.size != bv.size:
@@ -124,6 +128,13 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     cost = np.abs(av[:, None] - bv[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_distance = float(cost[rows, cols].max())
+    if max_distance > tol:
+        # A min-sum pairing need not minimise the largest distance; a pairing
+        # with no pair beyond `tol` exists when one of them costs 0 in 0/1.
+        rows, cols = linear_sum_assignment(cost > tol)
+        within = cost[rows, cols]
+        if (within <= tol).all():
+            max_distance = float(within.max())
     return MatchResult(max_distance <= tol, max_distance)
 
 
@@ -394,7 +405,15 @@ class Facts:
 
     @cached_property
     def frobenius(self) -> FrobeniusForm:
-        return frobenius_form(self.matrix)
+        """`frobenius_form`; an irreducible matrix is its own single block,
+        whose radius `frobenius_form` would take from the same `eigvals`."""
+        if not self.irreducible:
+            return frobenius_form(self.matrix)
+        n, rho = self.n, self.spectrum.rho
+        return FrobeniusForm(
+            Permutation.identity(n), (n,), (tuple(range(1, n + 1)),),
+            (self.matrix,), (rho,), rho,
+        )
 
 
 class _Tolerances(NamedTuple):

@@ -203,6 +203,57 @@ def reference_block_order(a) -> tuple[tuple[int, ...], ...]:
     return tuple(order)
 
 
+def reference_eigenvalue_products(a, w=None, cut: float = 0.0) -> bool:
+    """The dense product-law check: the eigenvalues of the W matrix (the
+    compound when `w` is None) pair up with the products lambda_i lambda_j,
+    i < j, within 1e-6 * max(1, rho^2).  O(n^6).
+
+    Values of modulus below `cut` are compared by count only, as
+    `split_match` in the acceptance tests does: a defective zero eigenvalue
+    comes back from a dense solver as a cluster far wider than any fixed
+    tolerance.
+    """
+    from signspectra.exterior import compound2, w_matrix
+
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if n < 2:
+        return True
+    entries = compound2(a) if w is None else w_matrix(a, w).entries
+    lam = np.linalg.eigvals(a)
+    rho = float(np.abs(lam).max())
+    i, j = np.triu_indices(n, k=1)
+    products, w_eigs = lam[i] * lam[j], np.linalg.eigvals(entries)
+    big_p, big_w = products[np.abs(products) >= cut], w_eigs[np.abs(w_eigs) >= cut]
+    tol = 1e-6 * max(1.0, rho * rho)
+    return big_p.size == big_w.size and hungarian_close(big_p, big_w, tol)
+
+
+def scramble_pairs():
+    """Inputs of criterion 11, each with its scrambled twin."""
+    from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, scrambled, tp2
+
+    pairs = []
+    for i, (n, h) in enumerate(STABLE_ODD_CELLS):
+        base = cyclic_h(n, h, seed=3000 + i)
+        pairs.append((base, scrambled(base, seed=3000 + i)))
+    for i in range(15):
+        base = tp2(3 + i % 3, seed=3100 + i)
+        pairs.append((base, scrambled(base, seed=3100 + i)))
+    for i in range(10):
+        base = nonneg_irreducible(2 + i % 6, density=0.3, seed=3200 + i)
+        pairs.append((base, scrambled(base, seed=3200 + i)))
+    rng = np.random.default_rng(20260405)
+    for i in range(10):
+        blocks = [cycle_matrix(int(rng.choice([3, 5]))) for _ in range(2)]
+        targets = [1.0, float(rng.choice([0.5, 1.0]))]
+        base = reducible_blocks(blocks, rho_targets=targets)
+        pairs.append((base, scrambled(base, seed=3300 + i)))
+    for i in range(5):
+        pairs.append((EXAMPLE1, scrambled(EXAMPLE1, seed=3400 + i)))
+    return pairs
+
+
 def hungarian_close(a, b, atol: float) -> bool:
     """True when the two complex multisets pair up within atol."""
     from signspectra.spectral import match_complex_multisets

@@ -18,7 +18,6 @@ from signspectra.core import pair_unindex
 from signspectra.digraph import frobenius_form, imprimitivity_index, is_irreducible
 from signspectra.exterior import exterior_product, verify_eigenvalue_products, w_matrix
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
-from signspectra.gen import nonneg_irreducible
 from signspectra.signsym import JCertificate, detect, enumerate_certificates
 from signspectra.signsym import verify_certificate
 from signspectra.signsym import sign_constraint_graph
@@ -35,6 +34,7 @@ from helpers import (
     cycle_matrix,
     hungarian_close,
     random_wset,
+    scramble_pairs,
 )
 
 FIFTH_ROOTS = np.exp(2j * np.pi * np.arange(5) / 5)
@@ -266,28 +266,6 @@ def test_criterion_10_block_diagonal_multiplicity_and_groups():
         )
         assert c.peripheral_count == len(expected_roots)
         assert hungarian_close(c.peripheral.values, expected_roots, atol=1e-6)
-
-
-def scramble_pairs():
-    pairs = []
-    for i, (n, h) in enumerate(STABLE_ODD_CELLS):
-        base = cyclic_h(n, h, seed=3000 + i)
-        pairs.append((base, scrambled(base, seed=3000 + i)))
-    for i in range(15):
-        base = tp2(3 + i % 3, seed=3100 + i)
-        pairs.append((base, scrambled(base, seed=3100 + i)))
-    for i in range(10):
-        base = nonneg_irreducible(2 + i % 6, density=0.3, seed=3200 + i)
-        pairs.append((base, scrambled(base, seed=3200 + i)))
-    rng = np.random.default_rng(20260405)
-    for i in range(10):
-        blocks = [cycle_matrix(int(rng.choice([3, 5]))) for _ in range(2)]
-        targets = [1.0, float(rng.choice([0.5, 1.0]))]
-        base = reducible_blocks(blocks, rho_targets=targets)
-        pairs.append((base, scrambled(base, seed=3300 + i)))
-    for i in range(5):
-        pairs.append((EXAMPLE1, scrambled(EXAMPLE1, seed=3400 + i)))
-    return pairs
 
 
 def test_criterion_11_scrambling_preserves_verdicts_and_spectra():

@@ -487,9 +487,11 @@ class TestAnalyzeSharesFacts:
         assert code == 0
         assert json.loads(out)["classification"]["theorem"] == theorem
         transitive = calls.pop("find_transitive_w")
+        # Both inputs are irreducible, so `Facts.frobenius` reads their one
+        # block from the spectrum and skips `frobenius_form`.
         assert calls == {
             "compound2": 1, "sign_constraint_graph": 2, "detect": 0,
-            "eigenvalues": 1, "frobenius_form": 1,
+            "eigenvalues": 1, "frobenius_form": 0,
         }
         assert transitive <= 1
         # Only the facts call imprimitivity_index, at most once per matrix; A

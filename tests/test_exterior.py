@@ -14,15 +14,20 @@ from signspectra.exterior import (
     verify_eigenvalue_products,
     w_matrix,
 )
+from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, scrambled, tp2
 from signspectra.spectral import Facts
 from signspectra.wsets import WSet, canonical_m
 
 from helpers import (
     EXAMPLE1,
     EXAMPLE1_COMPOUND,
+    STABLE_ODD_CELLS,
+    cycle_matrix,
     hungarian_close,
     random_wset,
+    reference_eigenvalue_products,
     reference_minor_grid,
+    scramble_pairs,
 )
 
 
@@ -177,7 +182,7 @@ class TestEigenvalueProducts:
         check = verify_eigenvalue_products(np.diag([1.0, 2.0, 3.0]))
         assert check.ok
         assert sorted(check.products.real.tolist()) == [2.0, 3.0, 6.0]
-        assert check.max_distance <= 1e-12
+        assert check.residual <= 1e-12
 
     def test_worked_example(self):
         check = verify_eigenvalue_products(EXAMPLE1)
@@ -192,10 +197,17 @@ class TestEigenvalueProducts:
             assert verify_eigenvalue_products(a, w).ok
 
     def test_default_tolerance_scales_with_radius(self):
+        # The documented bound 16 n u ||A||_F^2, which scales as s^2 under
+        # A -> sA.
         a = 100.0 * np.eye(3)
         check = verify_eigenvalue_products(a)
         assert check.ok
-        assert check.tol == pytest.approx(1e-6 * 100.0**2)
+        assert check.tol == pytest.approx(16 * 3 * 2.0**-53 * 3 * 100.0**2)
+        a = np.random.default_rng(8).normal(size=(5, 5))
+        for s in (1e-13, 7.0, 1e100):
+            assert verify_eigenvalue_products(s * a).tol == pytest.approx(
+                s * s * verify_eigenvalue_products(a).tol
+            )
 
     @pytest.mark.parametrize(
         "a",
@@ -219,17 +231,16 @@ class TestEigenvalueProducts:
             for w in (None, random_wset(n, rng)):
                 expected = verify_eigenvalue_products(a, w)
                 got = verify_eigenvalue_products(Facts(a), w)
-                assert (got.ok, got.tol, got.max_distance) == (
-                    expected.ok, expected.tol, expected.max_distance
+                assert (got.ok, got.tol, got.residual) == (
+                    expected.ok, expected.tol, expected.residual
                 )
                 assert np.array_equal(got.products, expected.products)
-                assert np.array_equal(got.w_eigenvalues, expected.w_eigenvalues)
 
     def test_one_by_one_has_no_products(self):
         check = verify_eigenvalue_products([[4.0]])
         assert check.ok
         assert check.products.size == 0
-        assert check.max_distance == 0.0
+        assert check.residual == 0.0
 
     def test_detects_wrong_grid(self):
         # Sanity: the check must be able to fail.  An asymmetric tolerance
@@ -237,3 +248,139 @@ class TestEigenvalueProducts:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         check = verify_eigenvalue_products(a, tol=-1.0)
         assert not check.ok
+
+
+def acceptance_inputs():
+    """(matrix, W set or None) for the inputs of criteria 04 and 07-11, the
+    scrambled twins included, whose W matrix has at most 400 rows."""
+    rng = np.random.default_rng(20260401)  # criterion 04
+    for i in range(200):
+        n = (3, 4, 5, 6)[i % 4]
+        a = rng.integers(-5, 6, size=(n, n)).astype(float)
+        for _ in range(3):
+            yield a, random_wset(n, rng)
+    for n in range(1, 13):  # criterion 07
+        for h in range(1, n + 1):
+            yield cyclic_h(n, h, seed=10 * n + h), None
+    for i in range(1000):  # criterion 08
+        n, h = STABLE_ODD_CELLS[i % len(STABLE_ODD_CELLS)]
+        base = cyclic_h(n, h, seed=i)
+        yield base, None
+        yield scrambled(base, seed=i), None
+    for i in range(200):  # criterion 09
+        base = tp2((3, 4, 5)[i % 3], seed=i)
+        yield base, None
+        yield scrambled(base, seed=i), None
+    rng = np.random.default_rng(20260404)  # criterion 10
+    pool = [cycle_matrix(3), cycle_matrix(5), cycle_matrix(7), tp2(3, seed=9)]
+    for _ in range(100):
+        n_blocks = int(rng.integers(2, 5))
+        picks = [int(rng.integers(0, len(pool))) for _ in range(n_blocks)]
+        n_attain = int(rng.integers(2, n_blocks + 1))
+        attaining = set(rng.permutation(n_blocks)[:n_attain].tolist())
+        targets = [
+            1.0 if t in attaining else float(rng.choice([0.4, 0.6, 0.7]))
+            for t in range(n_blocks)
+        ]
+        a = reducible_blocks([pool[p] for p in picks], rho_targets=targets)
+        if pair_count(a.shape[0]) <= 400:
+            yield a, None
+    for base, twin in scramble_pairs():  # criterion 11
+        yield base, None
+        yield twin, None
+    rng = np.random.default_rng(20260419)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        yield rng.integers(-5, 6, size=(n, n)).astype(float), None
+
+
+def edge_inputs():
+    u = 0.37 * np.arange(1.0, 7.0)
+    v = 1.3 * np.arange(2.0, 8.0)
+    return {
+        "zero": np.zeros((3, 3)),
+        "jordan-4": 2.0 * np.eye(4) + np.eye(4, k=1),
+        "jordan-6-zero": np.eye(6, k=1),
+        "two-jordan": np.kron(np.eye(2), 3.0 * np.eye(3) + np.eye(3, k=1)),
+        "shift-5": np.eye(5, k=1),
+        "rank-one": np.outer(u, v),
+        "cyclic-7-7-1e100": cyclic_h(7, 7) * 1e100,
+        "cyclic-7-7-1e-13": cyclic_h(7, 7) * 1e-13,
+    }
+
+
+class TestCertificateAgainstDenseOracle:
+    """The certificate and the dense eigvals-and-matching check give the same
+    verdict wherever both apply."""
+
+    def test_acceptance_families_and_random_integers(self):
+        scattered = 0
+        for a, w in acceptance_inputs():
+            ok = verify_eigenvalue_products(a, w).ok
+            if ok != reference_eigenvalue_products(a, w):
+                # The dense check rejects 8 criterion-07 cycles, from
+                # cyclic_h(9, 5) to cyclic_h(12, 9), whose defective zero
+                # eigenvalue eigvals scatters beyond 1e-6 in C2; it agrees
+                # once that cluster is compared by count, as criterion 07
+                # itself does.
+                cut = 1e-3 * max(1.0, float(np.abs(np.linalg.eigvals(a)).max()))
+                assert ok and reference_eigenvalue_products(a, w, cut=cut), a.tolist()
+                scattered += 1
+        assert scattered == 8
+
+    @pytest.mark.parametrize("name", sorted(edge_inputs()))
+    def test_edge_cases(self, name):
+        a = edge_inputs()[name]
+        check = verify_eigenvalue_products(a)
+        assert check.ok and reference_eigenvalue_products(a)
+        assert check.residual <= check.tol
+
+
+MUTATION_INPUTS = {
+    "tp2-12": lambda: tp2(12),
+    "tp2-20": lambda: tp2(20),
+    "cyclic_h-9-9": lambda: cyclic_h(9, 9),
+    "nonneg_irreducible-20-0.1": lambda: nonneg_irreducible(20, 0.1),
+}
+
+
+def mutated_check(a, entries):
+    """The product-law check of `a` with `entries` in place of its C2."""
+    facts = Facts(a)
+    facts.compound = entries
+    return verify_eigenvalue_products(facts)
+
+
+class TestCertificateMutations:
+    """A wrong C2 fails the certificate, though the dense check, whose
+    tolerance 1e-6 max(1, rho^2) is vacuous on wide spectra, misses most of
+    these mutants."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATION_INPUTS))
+    def test_one_entry_off(self, name):
+        a = MUTATION_INPUTS[name]()
+        c2 = compound2(a)
+        assert mutated_check(a, c2).ok
+        rng = np.random.default_rng(61)
+        size = c2.shape[0]
+        for r, c in [(0, 0), (0, size - 1), (size - 1, 0), *rng.integers(0, size, (5, 2))]:
+            wrong = c2.copy()
+            wrong[r, c] += 1e-8 * np.linalg.norm(c2)
+            assert not mutated_check(a, wrong).ok, (r, c)
+
+    @pytest.mark.parametrize("name", sorted(MUTATION_INPUTS))
+    def test_two_pair_rows_swapped(self, name):
+        a = MUTATION_INPUTS[name]()
+        c2 = compound2(a)
+        rng = np.random.default_rng(67)
+        size = c2.shape[0]
+        swaps = [(0, 1), (size - 2, size - 1)]
+        swaps += [tuple(rng.choice(size, 2, replace=False)) for _ in range(6)]
+        tested = 0
+        for r, s in swaps:
+            wrong = c2.copy()
+            wrong[[r, s]] = wrong[[s, r]]
+            if np.linalg.norm(wrong - c2) > 1e-8 * np.linalg.norm(c2):
+                tested += 1
+                assert not mutated_check(a, wrong).ok, (r, s)
+        assert tested >= 4

@@ -1,14 +1,19 @@
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import signspectra
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
+from signspectra.digraph import frobenius_form
 from signspectra.spectral import (
     Classification,
+    Facts,
     Spectrum,
     classify,
     counterexample_bundle,
@@ -55,6 +60,11 @@ class TestEigenvalues:
         )
 
 
+# Small Gaussian integers: distances tie often, where min-sum and min-max
+# pairings part ways.
+GAUSSIAN_INTEGER = st.builds(complex, st.integers(-2, 2), st.integers(-1, 1))
+
+
 class TestMatchMultisets:
     def test_permuted_exact(self):
         res = match_complex_multisets([1, 2j, -3], [-3, 1, 2j], 1e-15)
@@ -85,6 +95,34 @@ class TestMatchMultisets:
     def test_repeated_values(self):
         res = match_complex_multisets([1j, 1j, 0], [0, 1j, 1j], 1e-15)
         assert res.ok
+
+    def test_min_sum_pairing_beyond_tol(self):
+        # The min-sum pairing 1-1, 0-2 reaches 2.0; 0-1, 1-2 stays within 1.0.
+        res = match_complex_multisets([1, 0], [1, 2], 1.5)
+        assert res.ok
+        assert res.max_distance == 1.0
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(*[st.lists(GAUSSIAN_INTEGER, min_size=n, max_size=n)] * 2)
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    )
+    @example(([1, 0], [1, 2]), 1.5)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_force(self, sets, tol):
+        a, b = (np.array(v, dtype=complex) for v in sets)
+        cost = np.abs(a[:, None] - b[None, :])
+        perms = np.array(list(itertools.permutations(range(a.size))))
+        bottleneck = cost[np.arange(a.size), perms].max(axis=1).min()
+        res = match_complex_multisets(a, b, tol)
+        assert res.ok == (bottleneck <= tol)
+        if res.ok:
+            # max_distance is the largest distance of some pairing.
+            assert bottleneck <= res.max_distance <= tol
+            assert res.max_distance in cost
+        else:
+            assert res.max_distance > tol
 
 
 class TestPeripheralSpectrum:
@@ -451,6 +489,23 @@ class TestSecondCompoundErrors:
             assert "dimension 21 exceeds the supported maximum 20" in str(info.value)
         # The unvalidated compound still serves the eigenvalue-product check.
         assert verify_eigenvalue_products(a).ok
+
+
+class TestFactsFrobenius:
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[2.0]]), EXAMPLE1, cyclic_h(7, 7, seed=2), tp2(6, seed=3),
+         scrambled(tp2(5, seed=4), seed=5), np.ones((3, 3)),
+         reducible_blocks([cycle_matrix(3), cycle_matrix(5)], rho_targets=[1.0, 0.5])],
+    )
+    def test_equals_frobenius_form_bit_for_bit(self, a):
+        got, expected = Facts(a).frobenius, frobenius_form(a)
+        assert got.perm == expected.perm
+        assert got.block_sizes == expected.block_sizes
+        assert got.block_indices == expected.block_indices
+        assert all(np.array_equal(g, e) for g, e in zip(got.blocks, expected.blocks))
+        assert len(got.blocks) == len(expected.blocks)
+        assert (got.rho_per_block, got.rho) == (expected.rho_per_block, expected.rho)
 
 
 class TestTypes:
