@@ -108,7 +108,7 @@ def parse_matrix_text(text: str, fmt: str):
 def read_matrix(path: str, fmt: str):
     fmt = _infer_format(path, fmt)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -249,15 +249,10 @@ def _candidate_fields(cand) -> dict:
 
 
 def cmd_compound(args) -> int:
-    import numpy as np
-
     from .exterior import compound2
 
     m, fmt = read_matrix(args.path, args.format)
-    c2 = compound2(m)
-    if not np.isfinite(c2).all():
-        raise ValueError("second compound: matrix entries must be finite")
-    _emit_matrix(c2, fmt, args.out)
+    _emit_matrix(compound2(m), fmt, args.out)
     return 0
 
 
@@ -415,7 +410,7 @@ def cmd_gen(args) -> int:
         data = json.loads(text)
     except json.JSONDecodeError:
         try:
-            with open(text, "r", encoding="utf-8") as fh:
+            with open(text, "r", encoding="utf-8-sig") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ValueError(
@@ -435,7 +430,7 @@ def cmd_verify_corpus(args) -> int:
 
     _check_tolerances(args.rel_tol, args.peripheral_tol)  # before any spec
     try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
+        with open(args.manifest, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {args.manifest}: {exc}") from exc

@@ -30,39 +30,39 @@ __all__ = [
     "verify_eigenvalue_products",
 ]
 
-# C(180, 2) = 16110, so a dense compound tops out near 2 GB of float64.
+# C(180, 2) = 16110: a 2.1 GB float64 grid, whose row gather peaks near 8 GB.
 MAX_COMPOUND_BASE = 180
-
-
-def _check_base_dimension(n: int) -> None:
-    if n > MAX_COMPOUND_BASE:
-        raise ValueError(
-            f"base dimension {n} exceeds {MAX_COMPOUND_BASE}; "
-            f"the dense minor grid would need C({n},2)^2 entries"
-        )
 
 
 def _minor_grid(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Grid of 2x2 minors a(i_p, j_p; i_q, j_q) over the 0-based pairs
-    (i_p, j_p), gathered by rows.
-
-    Overflowing minors come out inf or nan without a warning; callers check.
-    """
+    (i_p, j_p), gathered by rows: the one gather behind `compound2` and
+    `w_matrix`.  Raises ValueError("second compound: ...") when the base
+    dimension exceeds MAX_COMPOUND_BASE, before any minor is computed, or
+    when a minor overflows."""
+    n = a.shape[0]
+    if n > MAX_COMPOUND_BASE:
+        raise ValueError(
+            f"second compound: base dimension {n} exceeds {MAX_COMPOUND_BASE}; "
+            f"the dense minor grid would need C({n},2)^2 entries"
+        )
     ai, aj = a[i], a[j]
     with np.errstate(over="ignore", invalid="ignore"):
-        return ai[:, i] * aj[:, j] - ai[:, j] * aj[:, i]
+        grid = ai[:, i] * aj[:, j] - ai[:, j] * aj[:, i]
+    if not np.isfinite(grid).all():
+        raise ValueError("second compound: matrix entries must be finite")
+    return grid
 
 
 def compound2(a) -> np.ndarray:
     """Second compound matrix: all 2x2 minors in lexicographic pair order.
 
-    Returns a C(n,2) x C(n,2) array.  Requires n >= 2.
+    Returns a C(n,2) x C(n,2) array for n >= 2, within `_minor_grid`'s limits.
     """
     m = as_matrix(a)
     n = m.shape[0]
     if n < 2:
         raise ValueError(f"second compound needs n >= 2, got n={n}")
-    _check_base_dimension(n)
     return _minor_grid(m, *_pair_table(n))
 
 
@@ -86,7 +86,6 @@ def w_matrix(a, w: WSet) -> WMatrix:
     n = m.shape[0]
     if w.n != n:
         raise ValueError(f"W set is over 1..{w.n} but the matrix has n={n}")
-    _check_base_dimension(n)
     pairs = w.pairs
     entries = _minor_grid(m, pairs[:, 0] - 1, pairs[:, 1] - 1)
     return WMatrix(n, w, tuple((int(i), int(j)) for i, j in pairs), entries)
@@ -155,7 +154,8 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     order n u ||A||_F, of the Schur form and of the probes reach R through
     C_W, whose norm is at most ||A||_F^2.  Clean residuals stayed below
     12 u ||A||_F^2 on random, graded and generated inputs with n <= 77.
-    Raises ValueError when a minor overflows, or ||A||_F^2 for the default.
+    Raises ValueError when a minor overflows, as `compound2` does, or when
+    ||A||_F^2 overflows for the default.
     """
     import scipy.linalg
 
@@ -169,8 +169,6 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     else:
         entries = w_matrix(m, w).entries
         p, q = w.pairs[:, 0] - 1, w.pairs[:, 1] - 1
-    if entries is not None and not np.isfinite(entries).all():
-        raise ValueError("a 2 x 2 minor overflows")
     if tol is None:
         norm = _frobenius_norm(m)
         square = norm * norm

@@ -252,30 +252,40 @@ class GenSpec:
             except (TypeError, OverflowError) as exc:
                 raise ValueError(f"{kind} spec: field {key!r}: {exc}") from exc
 
+        def integer(v) -> int:  # a JSON integer; bool is an int subclass
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"expected an integer, got {v!r}")
+            return v
+
+        def real(v) -> float:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"expected a number, got {v!r}")
+            return float(v)
+
         def optional_tuple(convert):
             return lambda v: None if v is None else tuple(map(convert, v))
 
         if kind in ("nonneg_irreducible", "cyclic_h", "tp2"):
             return cls(
                 kind=kind,
-                n=get("n", int),
-                seed=get("seed", int, 0),
-                h=get("h", int, 0),
-                density=get("density", float, 0.0),
-                magnitude=get("magnitude", float, 1.0),
+                n=get("n", integer),
+                seed=get("seed", integer, 0),
+                h=get("h", integer, 0),
+                density=get("density", real, 0.0),
+                magnitude=get("magnitude", real, 1.0),
             )
         if kind == "scrambled":
             return cls(
                 kind=kind,
-                seed=get("seed", int, 0),
-                j_set=get("j_set", optional_tuple(int), None),
+                seed=get("seed", integer, 0),
+                j_set=get("j_set", optional_tuple(integer), None),
                 base=get("base", cls.from_dict),
             )
         if kind == "reducible_blocks":
             return cls(
                 kind=kind,
                 blocks=get("blocks", lambda bs: tuple(map(cls.from_dict, bs))),
-                rho_targets=get("rho_targets", optional_tuple(float), None),
+                rho_targets=get("rho_targets", optional_tuple(real), None),
             )
         raise ValueError(f"unknown generator kind {kind!r}")
 

@@ -38,12 +38,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from . import __version__
-from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, Permutation, as_matrix
+from . import __version__, core
+from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, Permutation, as_matrix, pair_count
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
-    ReducibleInputError,
+    _pattern_index,
     frobenius_form,
     imprimitivity_index,
 )
@@ -328,22 +328,6 @@ def _pred_peripheral_simple(peripheral: PeripheralGroup) -> Prediction:
     )
 
 
-def _index_or_none(m: np.ndarray) -> ImprimitivityIndex | None:
-    """The imprimitivity index of `m`, None when `m` is reducible."""
-    try:
-        return imprimitivity_index(m)
-    except ReducibleInputError:
-        return None
-
-
-def _of_compound(stage, c2: np.ndarray):
-    """`stage(c2)`, with a rejection of C2 by `as_matrix` named as such."""
-    try:
-        return stage(c2)
-    except ValueError as exc:
-        raise ValueError(f"second compound: {exc}") from exc
-
-
 class Facts:
     """The structural facts of one matrix, each computed on first use and at
     most once, so that `classify` and the CLI reports share them.
@@ -352,8 +336,10 @@ class Facts:
     for n = 1, which has no compound; an imprimitivity index is None for a
     reducible matrix, and irreducibility is read from it, so one search in
     each direction decides both.  `transitive_w` needs n >= 2 and both sign
-    graphs consistent.  `compound` is not validated; the stages that read it
-    as a matrix raise ValueError("second compound: ...") when it is invalid.
+    graphs consistent.  Each limit on C2 is checked once and raises
+    ValueError("second compound: ..."): `compound2` checks its minors and
+    n <= MAX_COMPOUND_BASE, and the stages that read C2 as a graph check,
+    from n and before C2 is built, that C(n,2) <= core.MAX_DIMENSION.
     """
 
     def __init__(self, a) -> None:
@@ -372,23 +358,33 @@ class Facts:
     def compound(self) -> np.ndarray | None:
         return compound2(self.matrix) if self.n > 1 else None
 
+    def _compound_as_graph(self) -> np.ndarray | None:
+        """`compound`, once C(n,2) is known to fit the graph limit."""
+        size = pair_count(self.n)
+        if size > core.MAX_DIMENSION:
+            raise ValueError(
+                f"second compound: matrix dimension {size}"
+                f" exceeds the supported maximum {core.MAX_DIMENSION}"
+            )
+        return self.compound
+
     @cached_property
     def graph_c(self) -> SignConstraintGraph | None:
-        c2 = self.compound
-        return None if c2 is None else _of_compound(sign_constraint_graph, c2)
+        c2 = self._compound_as_graph()
+        return None if c2 is None else sign_constraint_graph(c2)
 
     @cached_property
     def imprimitivity(self) -> ImprimitivityIndex | None:
-        return _index_or_none(self.matrix)
+        return _pattern_index(self.matrix)
 
     @cached_property
     def compound_imprimitivity(self) -> ImprimitivityIndex | None:
-        c2 = self.compound
+        c2 = self._compound_as_graph()
         # A 1x1 zero compound is treated as degenerate rather than irreducible
         # so that 2x2 rank-one matrices route by trace instead of through T9.
         if c2 is None or (c2.shape[0] == 1 and c2[0, 0] == 0.0):
             return None
-        return _of_compound(_index_or_none, c2)
+        return _pattern_index(c2)
 
     @property
     def irreducible(self) -> bool:
@@ -396,7 +392,7 @@ class Facts:
 
     @property
     def compound_irreducible(self) -> bool | None:
-        return None if self.compound is None else self.compound_imprimitivity is not None
+        return None if self.n == 1 else self.compound_imprimitivity is not None
 
     @cached_property
     def transitive_w(self) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -482,7 +482,7 @@ class TestAnalyzeSharesFacts:
             "eigenvalues", "frobenius_form", "find_transitive_w",
         )
         searches = count_calls(monkeypatch, "is_irreducible", "_bfs_levels")
-        by_dimension = count_calls_by_dimension(monkeypatch, "imprimitivity_index")
+        by_dimension = count_calls_by_dimension(monkeypatch, "_pattern_index")
         code, out, _ = run("analyze", path)
         assert code == 0
         assert json.loads(out)["classification"]["theorem"] == theorem
@@ -494,12 +494,12 @@ class TestAnalyzeSharesFacts:
             "eigenvalues": 1, "frobenius_form": 0,
         }
         assert transitive <= 1
-        # Only the facts call imprimitivity_index, at most once per matrix; A
-        # and its compound differ in size, so each dimension counts one
-        # matrix.  Irreducibility is read from it: one search along the arcs
-        # and one against them for each irreducible matrix, and one for the
+        # Only the facts read a pattern index, once per matrix; A and its
+        # compound differ in size, so each dimension counts one matrix.
+        # Irreducibility is read from it: one search along the arcs and one
+        # against them for each irreducible matrix, and one for the
         # reducible compound of T8.2.
-        assert max(by_dimension["imprimitivity_index"].values()) <= 1
+        assert sorted(by_dimension["_pattern_index"].values()) == [1, 1]
         assert searches == {
             "is_irreducible": 0, "_bfs_levels": 4 if theorem == "T9.1" else 3,
         }
@@ -830,6 +830,39 @@ class TestVerifyCorpus:
         assert "manifest" in err
 
 
+class TestByteOrderMark:
+    # A spreadsheet's "CSV UTF-8" export starts with the UTF-8 byte order
+    # mark; every input file reads the same with it as without it.
+    @staticmethod
+    def with_bom(path) -> str:
+        path = Path(path)
+        marked = path.with_name("bom_" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return str(marked)
+
+    @pytest.mark.parametrize("writer", [write_csv, write_json_matrix])
+    @pytest.mark.parametrize("command", ["classify", "compound", "signsym"])
+    def test_matrix_file(self, run, tmp_path, writer, command):
+        plain = writer(tmp_path, EXAMPLE1)
+        expected = run(command, plain)
+        assert expected[0] == 0
+        assert run(command, self.with_bom(plain)) == expected
+
+    def test_gen_spec_file(self, run, tmp_path):
+        plain = tmp_path / "spec.json"
+        plain.write_text('{"kind": "cyclic_h", "n": 5, "h": 5, "seed": 2}')
+        expected = run("gen", str(plain))
+        assert expected[0] == 0
+        assert run("gen", self.with_bom(plain)) == expected
+
+    def test_verify_corpus_manifest(self, run, tmp_path):
+        plain = tmp_path / "manifest.json"
+        plain.write_text(json.dumps([{"kind": "tp2", "n": 4, "seed": 1}]))
+        expected = run("verify-corpus", str(plain))
+        assert expected[0] == 0
+        assert run("verify-corpus", self.with_bom(plain)) == expected
+
+
 class TestErrorsAndEnvironment:
     def test_missing_file(self, run):
         code, _, err = run("signsym", "/nonexistent/m.csv")
@@ -918,6 +951,27 @@ class TestErrorsAndEnvironment:
         assert out == ""
         assert err.startswith(prefix)
         assert "dimension 21 exceeds the supported maximum 20" in err
+
+    @pytest.mark.parametrize("n", [78, 181])
+    @pytest.mark.parametrize("command", ["classify", "analyze", "wsets", "verify-corpus"])
+    def test_compound_at_the_real_limits(self, run, tmp_path, command, n):
+        # C(78, 2) = 3003 is the first compound beyond the graph limit 3000,
+        # and 181 the first base beyond 180; the graph limit rejects both.
+        if command == "verify-corpus":
+            target = tmp_path / "manifest.json"
+            target.write_text(json.dumps([{"kind": "cyclic_h", "n": n, "h": n}]))
+            path, prefix = str(target), "error: spec 0: second compound:"
+        else:
+            path, prefix = write_csv(tmp_path, cycle_matrix(n)), "error: second compound:"
+        message = f"{prefix} matrix dimension {n * (n - 1) // 2} exceeds the supported maximum 3000\n"
+        assert run(command, path) == (1, "", message)
+
+    def test_compound_command_beyond_the_base_limit(self, run, tmp_path):
+        path = write_csv(tmp_path, cycle_matrix(181))
+        assert run("compound", path) == (
+            1, "", "error: second compound: base dimension 181 exceeds 180;"
+            " the dense minor grid would need C(181,2)^2 entries\n",
+        )
 
     @pytest.mark.parametrize("command", ["gen", "compound", "signsym"])
     def test_commands_without_spectra_import_no_scipy(self, tmp_path, command):

@@ -137,11 +137,11 @@ class TestSearchAgainstOracles:
 
 
 class TestStrongComponentCalls:
-    # classify reads irreducibility from the imprimitivity index of each
-    # matrix: one search along the arcs and one against them when the
-    # matrix is irreducible, one when node 1 fails to reach every node.
+    # classify reads irreducibility from the pattern index of each matrix:
+    # one search along the arcs and one against them when the matrix is
+    # irreducible, one when node 1 fails to reach every node.
     NAMES = (
-        "connected_components", "is_irreducible", "imprimitivity_index", "_bfs_levels",
+        "connected_components", "is_irreducible", "_pattern_index", "_bfs_levels",
     )
 
     def test_t82_classify_labels_no_components(self, monkeypatch):
@@ -150,7 +150,7 @@ class TestStrongComponentCalls:
         assert c.theorem == "T8.2" and c.verified
         assert calls == {
             "connected_components": 0, "is_irreducible": 0,
-            "imprimitivity_index": 2, "_bfs_levels": 3,
+            "_pattern_index": 2, "_bfs_levels": 3,
         }
 
     def test_t91_classify_searches_each_matrix_both_ways(self, monkeypatch):
@@ -159,7 +159,7 @@ class TestStrongComponentCalls:
         assert c.theorem == "T9.1" and c.verified
         assert calls == {
             "connected_components": 0, "is_irreducible": 0,
-            "imprimitivity_index": 2, "_bfs_levels": 4,
+            "_pattern_index": 2, "_bfs_levels": 4,
         }
 
     def test_imprimitivity_index_does_not_test_irreducibility(self, monkeypatch):

@@ -63,8 +63,12 @@ class TestCompound2:
             compound2([[1.0]])
 
     def test_rejects_oversized_base(self):
-        with pytest.raises(ValueError, match=str(MAX_COMPOUND_BASE)):
-            compound2(np.zeros((MAX_COMPOUND_BASE + 1, MAX_COMPOUND_BASE + 1)))
+        n = MAX_COMPOUND_BASE + 1
+        message = f"^second compound: base dimension {n} exceeds {MAX_COMPOUND_BASE}; "
+        with pytest.raises(ValueError, match=message):
+            compound2(np.zeros((n, n)))
+        with pytest.raises(ValueError, match=message):
+            w_matrix(np.zeros((n, n)), canonical_m(n))
 
 
 class TestWMatrix:
@@ -109,9 +113,20 @@ class TestWMatrix:
 LARGE_ENTRIES = st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e200, -3e200, 7e199])
 
 
+def assert_grid_or_overflow(build, expected) -> None:
+    """`build()` gives the reference grid `expected` bit for bit when that
+    grid is finite, and raises the one overflow error otherwise."""
+    if np.isfinite(expected).all():
+        assert np.array_equal(build(), expected)
+    else:
+        with pytest.raises(ValueError, match="^second compound: matrix entries must be finite$"):
+            build()
+
+
 class TestMinorGridOracle:
     """compound2 and w_matrix gather their minors by rows; the definition,
-    evaluated entry by entry, must give the same bits, inf and nan included."""
+    evaluated entry by entry, must give the same bits, and an inf or nan
+    minor must be rejected rather than returned."""
 
     @given(st.integers(min_value=2, max_value=12), st.data())
     @settings(max_examples=60, deadline=None)
@@ -119,19 +134,17 @@ class TestMinorGridOracle:
         a = np.array(data.draw(st.lists(LARGE_ENTRIES, min_size=n * n, max_size=n * n)))
         a = a.reshape(n, n)
         natural = list(itertools.combinations(range(1, n + 1), 2))
-        assert np.array_equal(compound2(a), reference_minor_grid(a, natural), equal_nan=True)
+        assert_grid_or_overflow(lambda: compound2(a), reference_minor_grid(a, natural))
         w = random_wset(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        expected = reference_minor_grid(a, w.pairs)
-        assert np.array_equal(w_matrix(a, w).entries, expected, equal_nan=True)
+        assert_grid_or_overflow(lambda: w_matrix(a, w).entries, reference_minor_grid(a, w.pairs))
 
     def test_overflowing_minors(self):
         a = np.array([[1e200, 1e200, 1.0], [1e200, 1e200, 1.0], [1.0, 2.0, 1e200]])
-        c = compound2(a)
-        assert np.isnan(c).any() and np.isinf(c).any()
-        assert np.array_equal(c, reference_minor_grid(a, [(1, 2), (1, 3), (2, 3)]), equal_nan=True)
+        expected = reference_minor_grid(a, [(1, 2), (1, 3), (2, 3)])
+        assert np.isnan(expected).any() and np.isinf(expected).any()
+        assert_grid_or_overflow(lambda: compound2(a), expected)
         w = WSet(3, np.tril(np.ones((3, 3), dtype=bool)))
-        expected = reference_minor_grid(a, w.pairs)
-        assert np.array_equal(w_matrix(a, w).entries, expected, equal_nan=True)
+        assert_grid_or_overflow(lambda: w_matrix(a, w).entries, reference_minor_grid(a, w.pairs))
 
 
 class TestExteriorProduct:
@@ -223,6 +236,12 @@ class TestEigenvalueProducts:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError):
                 verify_eigenvalue_products(a)
+
+    def test_overflowing_minor_is_the_compound_error(self):
+        a = np.array([[1e200, 2e200, 0.0], [3e200, 4e200, 1.0], [0.0, 1.0, 1.0]])
+        for w in (None, canonical_m(3)):
+            with pytest.raises(ValueError, match="^second compound: matrix entries must be finite$"):
+                verify_eigenvalue_products(a, w)
 
     def test_facts_in_place_of_the_matrix(self):
         rng = np.random.default_rng(43)

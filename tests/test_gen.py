@@ -240,6 +240,37 @@ class TestGenSpec:
                 "scrambled spec: field 'j_set'",
             ),
             ({"kind": "scrambled", "base": {"kind": "tp2"}}, "tp2 spec: missing field 'n'"),
+            # Integer fields take JSON integers only, number fields integers
+            # or floats: nothing is truncated, parsed or read as 0 or 1.
+            ({"kind": "cyclic_h", "n": 5.9, "h": 5}, "cyclic_h spec: field 'n': expected an integer"),
+            ({"kind": "cyclic_h", "n": "5", "h": 5}, "cyclic_h spec: field 'n': expected an integer"),
+            ({"kind": "cyclic_h", "n": 5, "h": True}, "cyclic_h spec: field 'h': expected an integer"),
+            ({"kind": "tp2", "n": 4, "seed": 1.0}, "tp2 spec: field 'seed': expected an integer"),
+            ({"kind": "tp2", "n": "x"}, "tp2 spec: field 'n': expected an integer, got 'x'"),
+            (
+                {"kind": "scrambled", "j_set": [1.5], "base": {"kind": "tp2", "n": 3}},
+                "scrambled spec: field 'j_set': expected an integer",
+            ),
+            (
+                {"kind": "scrambled", "seed": False, "base": {"kind": "tp2", "n": 3}},
+                "scrambled spec: field 'seed': expected an integer",
+            ),
+            (
+                {"kind": "nonneg_irreducible", "n": 4, "density": "0.5"},
+                "nonneg_irreducible spec: field 'density': expected a number",
+            ),
+            (
+                {"kind": "cyclic_h", "n": 5, "h": 5, "magnitude": True},
+                "cyclic_h spec: field 'magnitude': expected a number",
+            ),
+            (
+                {"kind": "cyclic_h", "n": 5, "h": 5, "magnitude": 10**400},
+                "cyclic_h spec: field 'magnitude': int too large to convert to float",
+            ),
+            (
+                {"kind": "reducible_blocks", "blocks": [], "rho_targets": [None]},
+                "reducible_blocks spec: field 'rho_targets': expected a number",
+            ),
         ]:
             with pytest.raises(ValueError) as info:
                 GenSpec.from_dict(data)

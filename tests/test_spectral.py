@@ -487,8 +487,20 @@ class TestSecondCompoundErrors:
                 stage(a)
             assert str(info.value).startswith("second compound: ")
             assert "dimension 21 exceeds the supported maximum 20" in str(info.value)
-        # The unvalidated compound still serves the eigenvalue-product check.
+        # The graph limit does not bind the eigenvalue-product check, which
+        # reads only the values of the compound.
         assert verify_eigenvalue_products(a).ok
+
+    @pytest.mark.parametrize("n", [78, 100])
+    def test_graph_limit_is_decided_before_the_compound_is_built(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, "compound2")
+        with pytest.raises(ValueError) as info:
+            classify(cycle_matrix(n))
+        assert str(info.value) == (
+            f"second compound: matrix dimension {n * (n - 1) // 2}"
+            " exceeds the supported maximum 3000"
+        )
+        assert calls == {"compound2": 0}
 
 
 class TestFactsFrobenius:
