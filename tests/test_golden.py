@@ -13,9 +13,15 @@ matrix, written by `cli.format_matrix_csv` (which round-trips exactly) to
 `matrix.csv` and read from the working directory, so that the path `analyze`
 reports is the same on every run.
 
+`data/golden/errors.jsonl.gz` holds one JSON line per spec text of
+`ERROR_SPECS`, the inputs behind the `error:` line of the spec parser: the
+text, and the stdout, stderr and exit code of `gen` on the text written to
+`spec.json`, and of `verify-corpus` on `manifest.json`, the text as the one
+element of a list (a leading byte-order mark stays in front).
+
 The tests replay every line in-process through `cli.main` and ask for the
 same bytes.  The specs are fixed once.  After a deliberate change of output,
-re-record the outputs of the same specs in both files with
+re-record the outputs of the same specs in all three files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -39,7 +45,53 @@ from signspectra.gen import GenSpec, generate
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 GOLDEN = GOLDEN_DIR / "verify_corpus.jsonl.gz"
 COMMANDS_GOLDEN = GOLDEN_DIR / "commands.jsonl.gz"
+ERRORS_GOLDEN = GOLDEN_DIR / "errors.jsonl.gz"
 COMMANDS = ("analyze", "classify", "signsym", "frobenius", "wsets")
+
+
+def _scrambled(levels: int) -> dict:
+    """A `tp2` spec wrapped in `scrambled` specs, `levels` specs in all."""
+    spec = {"kind": "tp2", "n": 3}
+    for _ in range(levels - 1):
+        spec = {"kind": "scrambled", "base": spec}
+    return spec
+
+
+ERROR_SPECS = [json.dumps(spec) for spec in [
+    # The messages of test_gen.py's rejected specs.
+    {"kind": "mystery"},
+    ["not", "a", "dict"],
+    {"kind": ["tp2"]},
+    {"kind": "tp2"},
+    {"kind": "cyclic_h", "h": 3},
+    {"kind": "reducible_blocks", "blocks": 5},
+    {"kind": "scrambled", "j_set": 2, "base": {"kind": "tp2", "n": 3}},
+    {"kind": "scrambled", "base": {"kind": "tp2"}},
+    {"kind": "cyclic_h", "n": 5.9, "h": 5},
+    {"kind": "cyclic_h", "n": "5", "h": 5},
+    {"kind": "cyclic_h", "n": 5, "h": True},
+    {"kind": "tp2", "n": 4, "seed": 1.0},
+    {"kind": "tp2", "n": "x"},
+    {"kind": "scrambled", "j_set": [1.5], "base": {"kind": "tp2", "n": 3}},
+    {"kind": "scrambled", "seed": False, "base": {"kind": "tp2", "n": 3}},
+    {"kind": "nonneg_irreducible", "n": 4, "density": "0.5"},
+    {"kind": "cyclic_h", "n": 5, "h": 5, "magnitude": True},
+    {"kind": "cyclic_h", "n": 5, "h": 5, "magnitude": 10**400},
+    {"kind": "reducible_blocks", "blocks": [], "rho_targets": [None]},
+    # Unknown fields, and fields of another kind.
+    {"kind": "tp2", "n": 5, "sed": 3},
+    {"kind": "tp2", "n": 4, "h": 2},
+    {"kind": "cyclic_h", "n": 4, "h": 2, "density": 0.5},
+    {"kind": "scrambled", "n": 3, "base": {"kind": "tp2", "n": 3}},
+    {"kind": "scrambled", "base": {"kind": "tp2", "n": 3, "magnitude": 2.0}},
+    {"kind": "reducible_blocks", "blocks": [{"kind": "tp2", "n": 2}], "seed": 1},
+    # Nested specs around the depth bound of 64 levels.
+    _scrambled(2),
+    _scrambled(64),
+    _scrambled(65),
+    _scrambled(100),
+    {"kind": "reducible_blocks", "blocks": [_scrambled(64)]},
+]] + ["\ufeff" + json.dumps({"kind": "tp2", "n": 3})]
 
 
 def load_golden(path: Path = GOLDEN) -> list[dict]:
@@ -74,20 +126,40 @@ def commands(spec: dict, work: Path) -> dict:
         os.chdir(cwd)
 
 
+def spec_errors(text: str, work: Path) -> dict:
+    """The `run_cli` results of `gen` and `verify-corpus` on the spec text,
+    with `work` as the working directory."""
+    body = text.removeprefix("\ufeff")
+    (work / "spec.json").write_text(text, encoding="utf-8")
+    (work / "manifest.json").write_text(text[: len(text) - len(body)] + f"[{body}]", encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        return {
+            "gen": run_cli(["gen", "spec.json"]),
+            "verify-corpus": run_cli(["verify-corpus", "manifest.json"]),
+        }
+    finally:
+        os.chdir(cwd)
+
+
 def _write(path: Path, lines: list[str]) -> None:
     # mtime=0 keeps the file byte-identical when nothing changed.
     path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode(), mtime=0))
 
 
 def record(specs: list[dict]) -> None:
-    """Write the outputs of `specs`, in order, to both golden files."""
+    """Write the outputs of `specs`, in order, to the two golden files of
+    the 52 specs, and those of ERROR_SPECS to the third."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         corpus = [json.dumps({"spec": spec, **verify_corpus(spec, work)}) for spec in specs]
         per_command = [json.dumps({"spec": spec, **commands(spec, work)}) for spec in specs]
+        errors = [json.dumps({"spec": text, **spec_errors(text, work)}) for text in ERROR_SPECS]
     _write(GOLDEN, corpus)
     _write(COMMANDS_GOLDEN, per_command)
+    _write(ERRORS_GOLDEN, errors)
 
 
 def test_verify_corpus_replays_byte_for_byte(tmp_path):
@@ -107,8 +179,16 @@ def test_commands_replay_byte_for_byte(tmp_path):
             assert got[command] == entry[command], (command, entry["spec"])
 
 
+def test_spec_errors_replay_byte_for_byte(tmp_path):
+    golden = load_golden(ERRORS_GOLDEN)
+    assert [entry["spec"] for entry in golden] == ERROR_SPECS
+    for entry in golden:
+        got = spec_errors(entry["spec"], tmp_path)
+        assert got == {k: entry[k] for k in ("gen", "verify-corpus")}, entry["spec"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
     record([entry["spec"] for entry in load_golden()])
-    print(f"re-recorded {GOLDEN} and {COMMANDS_GOLDEN}")
+    print(f"re-recorded {GOLDEN}, {COMMANDS_GOLDEN} and {ERRORS_GOLDEN}")
