@@ -26,6 +26,8 @@ import sys
 
 __all__ = ["main", "run"]
 
+# Deep nesting exhausts the JSON decoder's stack: that input is invalid JSON too.
+_JSON_ERRORS = (json.JSONDecodeError, RecursionError)
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -58,7 +60,7 @@ def parse_matrix_text(text: str, fmt: str):
     if fmt == "json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "n" not in data or "rows" not in data:
             raise ValueError('JSON matrix must be an object with "n" and "rows"')
@@ -408,7 +410,7 @@ def cmd_gen(args) -> int:
     text = args.spec
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except _JSON_ERRORS:
         try:
             with open(text, "r", encoding="utf-8-sig") as fh:
                 data = json.load(fh)
@@ -416,7 +418,7 @@ def cmd_gen(args) -> int:
             raise ValueError(
                 f"spec is neither inline JSON nor a readable file: {text!r}"
             ) from exc
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise ValueError(f"invalid JSON in spec file {text}: {exc}") from exc
     matrix = generate(GenSpec.from_dict(data))
     _emit_matrix(matrix, _infer_format(args.out or "", args.format), args.out)
@@ -434,7 +436,7 @@ def cmd_verify_corpus(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {args.manifest}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise ValueError(f"invalid JSON in {args.manifest}: {exc}") from exc
     specs = data.get("specs") if isinstance(data, dict) else data
     if not isinstance(specs, list) or not specs:

@@ -135,7 +135,7 @@ class EigenProductCheck:
     products: np.ndarray
 
 
-def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = None) -> EigenProductCheck:
+def verify_eigenvalue_products(a, w: WSet | None = None) -> EigenProductCheck:
     """Certify that the W matrix E of `a` (its compound when `w` is None)
     lies within `tol` of a matrix whose eigenvalues are the products
     lambda_i lambda_j, i < j, of the eigenvalues of `a`, a matrix or its
@@ -149,13 +149,13 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     applied through C_W(M) x = (M X M^T) on the pairs of `w`, X antisymmetric:
     one product with E, O(n^4), and O(n^3) besides.  `ok` is residual <= tol.
 
-    The default `tol` is the rounding bound 16 n u ||A||_F^2, u = 2^-53: the
+    `tol` is the rounding bound 16 n u ||A||_F^2, u = 2^-53: the
     minors are computed to about 2 u ||A||_F^2, and the backward errors, of
     order n u ||A||_F, of the Schur form and of the probes reach R through
     C_W, whose norm is at most ||A||_F^2.  Clean residuals stayed below
     12 u ||A||_F^2 on random, graded and generated inputs with n <= 77.
     Raises ValueError when a minor overflows, as `compound2` does, or when
-    ||A||_F^2 overflows for the default.
+    ||A||_F^2 overflows.
     """
     import scipy.linalg
 
@@ -169,14 +169,13 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
     else:
         entries = w_matrix(m, w).entries
         p, q = w.pairs[:, 0] - 1, w.pairs[:, 1] - 1
-    if tol is None:
-        norm = _frobenius_norm(m)
-        square = norm * norm
-        if square == float("inf"):
-            raise ValueError(f"||A||_F^2 overflows for ||A||_F = {norm!r}")
-        tol = 16.0 * n * 2.0**-53 * square
+    norm = _frobenius_norm(m)
+    square = norm * norm
+    if square == float("inf"):
+        raise ValueError(f"||A||_F^2 overflows for ||A||_F = {norm!r}")
+    tol = 16.0 * n * 2.0**-53 * square
     if n < 2:
-        return EigenProductCheck(True, float(tol), 0.0, np.zeros(0, dtype=complex))
+        return EigenProductCheck(True, tol, 0.0, np.zeros(0, dtype=complex))
 
     t, q_mat = scipy.linalg.schur(m, output="complex", check_finite=False)
     x, x_norms = _probes(p.size)
@@ -199,4 +198,4 @@ def verify_eigenvalue_products(a, w: WSet | None = None, tol: float | None = Non
         d = np.diag(t)
         i0, j0 = _pair_table(n)
         products = d[i0] * d[j0]
-    return EigenProductCheck(bool(residual <= tol), float(tol), float(residual), products)
+    return EigenProductCheck(bool(residual <= tol), tol, float(residual), products)

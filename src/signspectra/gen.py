@@ -54,9 +54,7 @@ def nonneg_irreducible(
     rng = _rng(seed)
     a = np.zeros((n, n))
     order = rng.permutation(n)
-    for t in range(n):
-        u, v = order[t], order[(t + 1) % n]
-        a[u, v] = rng.uniform(0.5, 1.5) * magnitude
+    a[order, np.roll(order, -1)] = rng.uniform(0.5, 1.5, n) * magnitude
     if density > 0.0 and n > 1:
         extra = (rng.random((n, n)) < density) & (a == 0.0)
         np.fill_diagonal(extra, False)
@@ -79,16 +77,10 @@ def cyclic_h(n: int, h: int, seed: int = 0, magnitude: float = 1.0) -> np.ndarra
     rng = _rng(seed)
     labels = rng.permutation(n)
     base, rem = divmod(n, h)
-    classes = []
-    pos = 0
-    for r in range(h):
-        size = base + (1 if r < rem else 0)
-        classes.append(labels[pos : pos + size])
-        pos += size
+    classes = np.split(labels, np.cumsum([base + (r < rem) for r in range(h - 1)]))
     a = np.zeros((n, n))
     for r in range(h):
-        src = classes[r]
-        dst = classes[(r + 1) % h]
+        src, dst = classes[r], classes[(r + 1) % h]
         a[np.ix_(src, dst)] = rng.uniform(0.5, 1.5, (len(src), len(dst))) * magnitude
     return a
 
@@ -127,15 +119,13 @@ def tp2(n: int, seed: int = 0) -> np.ndarray:
 def _sweep_product(n, lower, upper, diag) -> np.ndarray:
     left = np.eye(n)
     for k in range(n - 1, 0, -1):
-        e = np.eye(n)
-        for t, i in enumerate(range(k + 1, n + 1)):
-            e[i - 1, i - 2] = 1.0 if lower is None else lower[k - 1][t]
+        e, r = np.eye(n), np.arange(k, n)
+        e[r, r - 1] = 1.0 if lower is None else lower[k - 1]
         left = left @ e
     right = np.eye(n)
     for k in range(1, n):
-        f = np.eye(n)
-        for t, i in enumerate(range(k + 1, n + 1)):
-            f[i - 2, i - 1] = 1.0 if upper is None else upper[k - 1][t]
+        f, r = np.eye(n), np.arange(k, n)
+        f[r - 1, r] = 1.0 if upper is None else upper[k - 1]
         right = right @ f
     return left @ np.diag(diag) @ right
 
@@ -157,8 +147,7 @@ def scrambled(base, j_set=None, seed: int = 0) -> np.ndarray:
         if any(v < 1 or v > n for v in j_set):
             raise ValueError(f"j_set must be a subset of 1..{n}, got {sorted(j_set)}")
     d = np.ones(n)
-    for i in j_set:
-        d[i - 1] = -1.0
+    d[[i - 1 for i in j_set]] = -1.0
     return d[:, None] * m * d[None, :]
 
 
@@ -189,14 +178,52 @@ def reducible_blocks(blocks, rho_targets=None) -> np.ndarray:
                 )
             scaled.append(b * (target / r) if r > 0.0 else b)
         mats = scaled
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n))
-    pos = 0
-    for b in mats:
-        k = b.shape[0]
-        out[pos : pos + k, pos : pos + k] = b
-        pos += k
+    ends = np.cumsum([len(b) for b in mats])
+    out = np.zeros((ends[-1], ends[-1]))
+    for b, end in zip(mats, ends):
+        out[end - len(b) : end, end - len(b) : end] = b
     return out
+
+
+def _integer(v) -> int:  # a JSON integer; bool is an int subclass
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _optional_tuple(convert):
+    return lambda v: None if v is None else tuple(map(convert, v))
+
+
+# How `from_dict` reads each field that holds no nested spec.
+_CONVERTERS = {
+    "n": _integer, "seed": _integer, "h": _integer, "density": _real, "magnitude": _real,
+    "j_set": _optional_tuple(_integer), "rho_targets": _optional_tuple(_real),
+}
+_REQUIRED = ("n", "base", "blocks")
+_MAX_DEPTH = 64  # levels of nested specs that `from_dict` reads
+
+# Each kind's generator and its fields, in the order `to_dict` writes them;
+# each field is a parameter of the generator.
+_KINDS = {
+    "nonneg_irreducible": (nonneg_irreducible, ("n", "seed", "density", "magnitude")),
+    "cyclic_h": (cyclic_h, ("n", "seed", "h", "magnitude")),
+    "tp2": (tp2, ("n", "seed")),
+    "scrambled": (scrambled, ("seed", "j_set", "base")),
+    "reducible_blocks": (reducible_blocks, ("blocks", "rho_targets")),
+}
+
+
+def _kind(kind) -> tuple:
+    if isinstance(kind, str) and kind in _KINDS:
+        return _KINDS[kind]
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -215,79 +242,15 @@ class GenSpec:
     rho_targets: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("nonneg_irreducible", "cyclic_h", "tp2"):
-            out["n"] = self.n
-            out["seed"] = self.seed
-        if self.kind == "nonneg_irreducible":
-            out["density"] = self.density
-            out["magnitude"] = self.magnitude
-        if self.kind == "cyclic_h":
-            out["h"] = self.h
-            out["magnitude"] = self.magnitude
-        if self.kind == "scrambled":
-            out["seed"] = self.seed
-            out["j_set"] = None if self.j_set is None else list(self.j_set)
-            assert self.base is not None
-            out["base"] = self.base.to_dict()
-        if self.kind == "reducible_blocks":
-            out["blocks"] = [b.to_dict() for b in self.blocks]
-            out["rho_targets"] = (
-                None if self.rho_targets is None else list(self.rho_targets)
-            )
-        return out
+        _, fields = _KINDS.get(self.kind, (None, ()))
+        values = {k: _nested(getattr(self, k), GenSpec.to_dict) for k in fields}
+        return {"kind": self.kind, **values}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("generator spec must be an object with a 'kind'")
-        kind = data["kind"]
-
-        def get(key, convert, default=...):
-            # `...` marks a required field; a missing or ill-typed one is named.
-            if key not in data and default is ...:
-                raise ValueError(f"{kind} spec: missing field {key!r}")
-            try:
-                return convert(data[key]) if key in data else default
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"{kind} spec: field {key!r}: {exc}") from exc
-
-        def integer(v) -> int:  # a JSON integer; bool is an int subclass
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"expected an integer, got {v!r}")
-            return v
-
-        def real(v) -> float:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise TypeError(f"expected a number, got {v!r}")
-            return float(v)
-
-        def optional_tuple(convert):
-            return lambda v: None if v is None else tuple(map(convert, v))
-
-        if kind in ("nonneg_irreducible", "cyclic_h", "tp2"):
-            return cls(
-                kind=kind,
-                n=get("n", integer),
-                seed=get("seed", integer, 0),
-                h=get("h", integer, 0),
-                density=get("density", real, 0.0),
-                magnitude=get("magnitude", real, 1.0),
-            )
-        if kind == "scrambled":
-            return cls(
-                kind=kind,
-                seed=get("seed", integer, 0),
-                j_set=get("j_set", optional_tuple(integer), None),
-                base=get("base", cls.from_dict),
-            )
-        if kind == "reducible_blocks":
-            return cls(
-                kind=kind,
-                blocks=get("blocks", lambda bs: tuple(map(cls.from_dict, bs))),
-                rho_targets=get("rho_targets", optional_tuple(real), None),
-            )
-        raise ValueError(f"unknown generator kind {kind!r}")
+        """The spec that `to_dict` writes as `data`.  A field its kind does
+        not take, and specs nested more than 64 levels deep, are ValueErrors."""
+        return _parse(data, 1)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -295,6 +258,39 @@ class GenSpec:
     @classmethod
     def from_json(cls, text: str) -> "GenSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _parse(data, depth: int) -> GenSpec:
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"generator specs nest at most {_MAX_DEPTH} levels deep")
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValueError("generator spec must be an object with a 'kind'")
+    kind = data["kind"]
+    fields = _kind(kind)[1]
+    unknown = [key for key in data if key not in fields and key != "kind"]
+    if unknown:
+        raise ValueError(f"{kind} spec: unknown field {unknown[0]!r}")
+    read = {**_CONVERTERS, "base": lambda v: _parse(v, depth + 1),
+            "blocks": lambda v: tuple(_parse(b, depth + 1) for b in v)}
+    values = {}
+    for key in fields:
+        if key in data:
+            try:
+                values[key] = read[key](data[key])
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"{kind} spec: field {key!r}: {exc}") from exc
+        elif key in _REQUIRED:  # the other fields default as in GenSpec
+            raise ValueError(f"{kind} spec: missing field {key!r}")
+    return GenSpec(kind=kind, **values)
+
+
+def _nested(value, convert):
+    """`value` with each spec in it replaced by `convert(spec)`, tuples by lists."""
+    if isinstance(value, GenSpec):
+        return convert(value)
+    if isinstance(value, (tuple, list)):
+        return [_nested(v, convert) for v in value]
+    return value
 
 
 def generate(spec: GenSpec) -> np.ndarray:
@@ -305,17 +301,5 @@ def generate(spec: GenSpec) -> np.ndarray:
 
 
 def _materialize(spec: GenSpec) -> np.ndarray:
-    if spec.kind == "nonneg_irreducible":
-        return nonneg_irreducible(spec.n, spec.density, spec.seed, spec.magnitude)
-    if spec.kind == "cyclic_h":
-        return cyclic_h(spec.n, spec.h, spec.seed, spec.magnitude)
-    if spec.kind == "tp2":
-        return tp2(spec.n, spec.seed)
-    if spec.kind == "scrambled":
-        assert spec.base is not None
-        return scrambled(_materialize(spec.base), spec.j_set, spec.seed)
-    if spec.kind == "reducible_blocks":
-        return reducible_blocks(
-            [_materialize(b) for b in spec.blocks], spec.rho_targets
-        )
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    generator, fields = _kind(spec.kind)
+    return generator(**{k: _nested(getattr(spec, k), _materialize) for k in fields})

@@ -87,9 +87,11 @@ class Spectrum:
 
 
 def eigenvalues(a) -> Spectrum:
-    """Full spectrum via the dense nonsymmetric eigensolver."""
+    """Full spectrum via the dense nonsymmetric eigensolver; ValueError if it overflows."""
     m = as_matrix(a)
     vals = np.linalg.eigvals(m)
+    if not np.isfinite(vals).all():
+        raise ValueError("spectrum overflowed: an eigenvalue is not finite")
     mods = np.abs(vals)
     args = np.mod(np.angle(vals), 2.0 * np.pi)
     order = np.lexsort((args, -mods))
@@ -125,7 +127,8 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     if av.size == 0:
         return MatchResult(True, 0.0)
     from scipy.optimize import linear_sum_assignment  # 0.3 s to import
-    cost = np.abs(av[:, None] - bv[None, :])
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
+        cost = np.abs(av[:, None] - bv[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_distance = float(cost[rows, cols].max())
     if max_distance > tol:

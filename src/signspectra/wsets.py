@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import Permutation, _BuiltOnAccess, _pair_table, pair_count
-from .signsym import SignConstraintGraph, TooManyCertificatesError, _row_sets
+from .signsym import NotSignSymmetricError, SignConstraintGraph, TooManyCertificatesError, _row_sets
 
 __all__ = [
     "WSet",
@@ -258,6 +258,16 @@ def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnu
     return w_candidates_from_graphs(facts.graph_a, facts.graph_c, cap)
 
 
+def _require_consistent(graph_a: SignConstraintGraph, graph_c: SignConstraintGraph | None) -> None:
+    """`require_consistent` on the graphs of a matrix and of its compound,
+    whose odd cycle is named as the compound's: it numbers pairs."""
+    graph_a.require_consistent()
+    if graph_c is not None and not graph_c.consistent:
+        cycle = graph_c.odd_cycle
+        message = f"second compound is not sign-symmetric; odd constraint cycle {cycle}"
+        raise NotSignSymmetricError(message, cycle)
+
+
 def w_candidates_from_graphs(
     graph_a: SignConstraintGraph,
     graph_c: SignConstraintGraph | None,
@@ -267,10 +277,9 @@ def w_candidates_from_graphs(
     matrix and of its second compound (None for n = 1)."""
     _check_cap(cap)
     n = graph_a.n
-    graph_a.require_consistent()
+    _require_consistent(graph_a, graph_c)
     components = len(graph_a.components)
     if graph_c is not None:
-        graph_c.require_consistent()
         components += len(graph_c.components)
     total = 2**components
     if total > cap:
@@ -357,8 +366,7 @@ def find_transitive_w(
     constants or GF(2) parity equations, solved by elimination; the rest are
     searched by backtracking with unit propagation.
     """
-    graph_a.require_consistent()
-    graph_c.require_consistent()
+    _require_consistent(graph_a, graph_c)
     n = graph_a.n
     if n < 2 or graph_c.n != pair_count(n):
         raise ValueError(

@@ -325,7 +325,7 @@ def reference_j_sets(graph) -> list[frozenset[int]]:
 def reference_w_candidates(graph_a, graph_c, cap: int):
     """The W listing built one (J, Jt) combination at a time with
     `build_w_hat`, grouped by orientation in order of first occurrence."""
-    from signspectra.signsym import TooManyCertificatesError
+    from signspectra.signsym import NotSignSymmetricError, TooManyCertificatesError
     from signspectra.wsets import (
         WCandidate,
         WCandidateEnumeration,
@@ -336,7 +336,11 @@ def reference_w_candidates(graph_a, graph_c, cap: int):
     graph_a.require_consistent()
     components = len(graph_a.components)
     if graph_c is not None:
-        graph_c.require_consistent()
+        if not graph_c.consistent:
+            raise NotSignSymmetricError(
+                "second compound is not sign-symmetric; odd constraint cycle"
+                f" {graph_c.odd_cycle}"
+            )
         components += len(graph_c.components)
     if 2**components > cap:
         raise TooManyCertificatesError(

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -971,6 +972,44 @@ class TestErrorsAndEnvironment:
         assert run("compound", path) == (
             1, "", "error: second compound: base dimension 181 exceeds 180;"
             " the dense minor grid would need C(181,2)^2 entries\n",
+        )
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        # A compound whose odd cycle numbers pairs, named as the compound's.
+        (["wsets"], "m.csv", "0,1\n1,0\n",
+         "second compound is not sign-symmetric; odd constraint cycle (1,)"),
+        # Finite entries whose spectrum, or whose eigenvalue distances, overflow.
+        (["classify"], "m.csv", "1e308,1e308\n1e308,1e308\n",
+         "spectrum overflowed: an eigenvalue is not finite"),
+        (["classify"], "m.csv", "0,1e308\n1e308,0\n",
+         "second compound: matrix entries must be finite"),
+        # Specs nested past the bound, and JSON past the decoder's recursion limit.
+        (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 500
+         + '{"kind": "tp2", "n": 3}' + "}" * 500 + "]",
+         "spec 0: generator specs nest at most 64 levels deep"),
+        (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 1200
+         + '{"kind": "tp2", "n": 3}' + "}" * 1200 + "]",
+         "invalid JSON in m.json: maximum recursion depth exceeded"),
+        (["classify"], "m.json", "[" * 3000 + "]" * 3000, "invalid JSON: maximum recursion depth"),
+        (["gen"], "m.json", "[" * 3000 + "]" * 3000,
+         "invalid JSON in spec file m.json: maximum recursion depth"),
+        # A field the kind does not take.
+        (["gen"], "m.json", '{"kind": "tp2", "n": 5, "sed": 3}', "tp2 spec: unknown field 'sed'"),
+        (["verify-corpus"], "m.json", '[{"kind": "tp2", "n": 5, "sed": 3}]',
+         "spec 0: tp2 spec: unknown field 'sed'"),
+    ])
+    def test_probe_inputs_give_one_error_line(self, run, tmp_path, monkeypatch, argv, name, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(*argv, name)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_inline_spec_with_unknown_field(self, run):
+        assert run("gen", '{"kind": "tp2", "n": 5, "sed": 3}') == (
+            1, "", "error: tp2 spec: unknown field 'sed'\n"
         )
 
     @pytest.mark.parametrize("command", ["gen", "compound", "signsym"])

@@ -261,13 +261,6 @@ class TestEigenvalueProducts:
         assert check.products.size == 0
         assert check.residual == 0.0
 
-    def test_detects_wrong_grid(self):
-        # Sanity: the check must be able to fail.  An asymmetric tolerance
-        # squeeze on a matrix with nonzero products cannot pass at tol 0.
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        check = verify_eigenvalue_products(a, tol=-1.0)
-        assert not check.ok
-
 
 def acceptance_inputs():
     """(matrix, W set or None) for the inputs of criteria 04 and 07-11, the

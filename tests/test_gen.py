@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from signspectra import gen
 from signspectra.digraph import imprimitivity_index, is_irreducible
 from signspectra.exterior import compound2
 from signspectra.gen import (
@@ -271,7 +273,119 @@ class TestGenSpec:
                 {"kind": "reducible_blocks", "blocks": [], "rho_targets": [None]},
                 "reducible_blocks spec: field 'rho_targets': expected a number",
             ),
+            # A field the kind does not take is named, not dropped.
+            ({"kind": "tp2", "n": 5, "sed": 3}, "tp2 spec: unknown field 'sed'"),
+            ({"kind": "tp2", "n": 4, "h": 2}, "tp2 spec: unknown field 'h'"),
+            ({"kind": "cyclic_h", "n": 4, "h": 2, "density": 0.5}, "cyclic_h spec: unknown field 'density'"),
+            (
+                {"kind": "scrambled", "base": {"kind": "tp2", "n": 3, "magnitude": 2.0}},
+                "tp2 spec: unknown field 'magnitude'",
+            ),
+            ({"kind": "reducible_blocks", "blocks": [], "seed": 1}, "reducible_blocks spec: unknown field 'seed'"),
         ]:
             with pytest.raises(ValueError) as info:
                 GenSpec.from_dict(data)
             assert str(info.value).startswith(message)
+
+    def test_nesting_is_bounded_at_64_levels(self):
+        spec = {"kind": "tp2", "n": 3}
+        for _ in range(63):
+            spec = {"kind": "scrambled", "base": spec}
+        parsed = GenSpec.from_dict(spec)  # 64 levels
+        assert GenSpec.from_json(parsed.to_json()) == parsed
+        for deeper in (
+            {"kind": "scrambled", "base": spec},
+            {"kind": "reducible_blocks", "blocks": [{"kind": "tp2", "n": 2}, spec]},
+        ):
+            with pytest.raises(ValueError, match="^generator specs nest at most 64 levels deep$"):
+                GenSpec.from_dict(deeper)
+        for _ in range(1000):  # far beyond the interpreter's recursion limit
+            spec = {"kind": "scrambled", "base": spec}
+        with pytest.raises(ValueError, match="nest at most 64 levels"):
+            GenSpec.from_dict(spec)
+
+    def test_kind_table_matches_generators_and_to_dict(self):
+        # Each kind's fields are exactly its generator's parameters and the
+        # keys that to_dict writes after "kind", in order.
+        for kind, (generator, fields) in gen._KINDS.items():
+            assert set(inspect.signature(generator).parameters) == set(fields), kind
+            assert set(fields) <= set(GenSpec.__dataclass_fields__), kind
+        specs = [
+            GenSpec(kind="nonneg_irreducible", n=3),
+            GenSpec(kind="cyclic_h", n=3, h=3),
+            GenSpec(kind="tp2", n=3),
+            GenSpec(kind="scrambled", base=GenSpec(kind="tp2", n=3)),
+            GenSpec(kind="reducible_blocks", blocks=(GenSpec(kind="tp2", n=2),)),
+        ]
+        assert {s.kind: tuple(s.to_dict())[1:] for s in specs} == {
+            kind: fields for kind, (_, fields) in gen._KINDS.items()
+        }
+
+
+class TestArrayFormsMatchLoops:
+    """The generators build their matrices with array operations; each
+    matches, bit for bit, the loop it replaced."""
+
+    def test_planted_cycle(self):
+        for n in range(1, 12):
+            for seed in range(4):
+                rng = np.random.Generator(np.random.PCG64(seed))
+                a = np.zeros((n, n))
+                order = rng.permutation(n)
+                for t in range(n):
+                    a[order[t], order[(t + 1) % n]] = rng.uniform(0.5, 1.5) * 2.5
+                assert np.array_equal(nonneg_irreducible(n, seed=seed, magnitude=2.5), a)
+
+    def test_cyclic_classes(self):
+        for n in range(1, 12):
+            for h in range(1, n + 1):
+                rng = np.random.Generator(np.random.PCG64(h))
+                labels = rng.permutation(n)
+                base, rem = divmod(n, h)
+                classes, pos = [], 0
+                for r in range(h):
+                    size = base + (1 if r < rem else 0)
+                    classes.append(labels[pos : pos + size])
+                    pos += size
+                a = np.zeros((n, n))
+                for r in range(h):
+                    src, dst = classes[r], classes[(r + 1) % h]
+                    a[np.ix_(src, dst)] = rng.uniform(0.5, 1.5, (len(src), len(dst)))
+                assert np.array_equal(cyclic_h(n, h, seed=h), a)
+
+    def test_sweep_product(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 9):
+            lower = [rng.uniform(0.5, 2.0, n - k) for k in range(1, n)]
+            upper = [rng.uniform(0.5, 2.0, n - k) for k in range(1, n)]
+            diag = rng.uniform(0.5, 2.0, n)
+            for lo, up in ((lower, upper), (None, None)):
+                left, right = np.eye(n), np.eye(n)
+                for k in range(n - 1, 0, -1):
+                    e = np.eye(n)
+                    for t, i in enumerate(range(k + 1, n + 1)):
+                        e[i - 1, i - 2] = 1.0 if lo is None else lo[k - 1][t]
+                    left = left @ e
+                for k in range(1, n):
+                    f = np.eye(n)
+                    for t, i in enumerate(range(k + 1, n + 1)):
+                        f[i - 2, i - 1] = 1.0 if up is None else up[k - 1][t]
+                    right = right @ f
+                expected = left @ np.diag(diag) @ right
+                assert np.array_equal(gen._sweep_product(n, lo, up, diag), expected)
+
+    def test_scramble_and_block_layout(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            mats = [rng.normal(size=(k, k)) for k in rng.integers(1, 5, rng.integers(1, 5))]
+            n = sum(len(b) for b in mats)
+            out, pos = np.zeros((n, n)), 0
+            for b in mats:
+                out[pos : pos + len(b), pos : pos + len(b)] = b
+                pos += len(b)
+            assert np.array_equal(reducible_blocks(mats), out)
+            j_set = {int(i) for i in rng.integers(1, n + 1, rng.integers(0, n + 1))}
+            d = np.ones(n)
+            for i in j_set:
+                d[i - 1] = -1.0
+            assert np.array_equal(scrambled(out, j_set), d[:, None] * out * d[None, :])

@@ -1,7 +1,8 @@
 """The documented library surface: every name in the README "Library"
 table imports from its module, every function the package exports from a
-tabled module is named in that module's row, and every lazy export of the
-package is the object its module lists in `__all__`."""
+tabled module is named in that module's row, every lazy export of the
+package is the object its module lists in `__all__`, and the README's
+generator-spec table lists the kinds and fields of `gen`'s table."""
 
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import re
 from pathlib import Path
 
 import signspectra
+from signspectra import gen
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +55,14 @@ def test_package_exports_are_module_names():
         mod = importlib.import_module(f"signspectra.{module}")
         assert name in mod.__all__, f"{name} is not in signspectra.{module}.__all__"
         assert getattr(signspectra, name) is getattr(mod, name)
+
+
+def test_readme_spec_table_matches_gen():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`\w+`", cells[0]):
+            rows[cells[0].strip("`")] = tuple(re.findall(r"`(\w+)`", cells[1]))
+    assert rows == {kind: fields for kind, (_, fields) in gen._KINDS.items()}

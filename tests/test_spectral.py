@@ -59,6 +59,13 @@ class TestEigenvalues:
             3 * np.finfo(float).eps * np.sqrt(3.0)
         )
 
+    def test_overflowing_spectrum_is_value_error(self):
+        # Finite entries, but the eigenvalue 2e308 overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^spectrum overflowed"):
+                eigenvalues(np.full((2, 2), 1e308))
+
 
 # Small Gaussian integers: distances tie often, where min-sum and min-max
 # pairings part ways.
@@ -95,6 +102,15 @@ class TestMatchMultisets:
     def test_repeated_values(self):
         res = match_complex_multisets([1j, 1j, 0], [0, 1j, 1j], 1e-15)
         assert res.ok
+
+    def test_distance_beyond_float_range_raises_no_warning(self):
+        # 1e308 - (-1e308) overflows: that distance is inf, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = match_complex_multisets([1e308, -1e308], [-1e308, 1e308], 1.0)
+            assert res.ok and res.max_distance == 0.0
+            res = match_complex_multisets([1e308, -1e308, 0.0], [1e308, 0.0, -1e308], 1.0)
+            assert res.ok and res.max_distance == 0.0
 
     def test_min_sum_pairing_beyond_tol(self):
         # The min-sum pairing 1-1, 0-2 reaches 2.0; 0-1, 1-2 stays within 1.0.
