@@ -19,8 +19,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import Permutation, as_matrix
 
@@ -107,6 +105,9 @@ class FrobeniusForm:
 def frobenius_form(a) -> FrobeniusForm:
     """Strongly connected components of the digraph, ordered so that every
     arc of the condensation points from a later block to an earlier one."""
+    from scipy.sparse import csr_matrix  # with csgraph, 0.3 s to import
+    from scipy.sparse.csgraph import connected_components
+
     m = as_matrix(a)
     pattern = csr_matrix((m != 0).astype(np.int8))
     n_comp, labels = connected_components(pattern, directed=True, connection="strong")

@@ -31,12 +31,12 @@ Leaf labels:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__, core
 from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, Permutation, as_matrix, pair_count
@@ -118,7 +118,9 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     pairing keeps every matched pair within `tol`.
 
     `max_distance` is the largest distance of the min-sum pairing, or of a
-    pairing within `tol` when the min-sum one is not.
+    pairing within `tol` when the min-sum one is not; inf when every pairing
+    holds a distance beyond the float range.  ValueError when sizes agree
+    and a distance is NaN.
     """
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
@@ -126,10 +128,29 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
         return MatchResult(False, float("inf"))
     if av.size == 0:
         return MatchResult(True, 0.0)
-    from scipy.optimize import linear_sum_assignment  # 0.3 s to import
     with np.errstate(over="ignore"):  # a distance beyond the float range is inf
         cost = np.abs(av[:, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    low = cost.min(axis=1).tolist()  # a row with a NaN distance has NaN here
+    if math.isnan(sum(low)):
+        raise ValueError("match_complex_multisets: a distance is NaN")
+    max_distance = max(low)
+    if len(set(cost.argmin(axis=1).tolist())) == len(low):
+        # Every pairing costs at least sum(low), row by row, and pairing each
+        # row with its own argmin meets it; so every min-sum pairing takes
+        # each row's minimum, and none has a largest distance below max(low).
+        return MatchResult(max_distance <= tol, max_distance)
+    from scipy.optimize import linear_sum_assignment  # 0.3 s to import
+    if cost.max() > 2.0**1000:
+        infinite = np.isinf(cost)
+        if infinite[linear_sum_assignment(infinite)].any():
+            # Every pairing holds an infinite distance; scipy calls that infeasible.
+            return MatchResult(False, float("inf"))
+        # scipy's path sums may overflow, which it also calls infeasible or
+        # answers with a pairing that is not min-sum.  Scaling by 2^-64 keeps
+        # them finite, and is exact for every distance above 2^-958.
+        rows, cols = linear_sum_assignment(np.ldexp(cost, -64))
+    else:
+        rows, cols = linear_sum_assignment(cost)
     max_distance = float(cost[rows, cols].max())
     if max_distance > tol:
         # A min-sum pairing need not minimise the largest distance; a pairing
@@ -698,6 +719,8 @@ def counterexample_bundle(a, classification: Classification) -> dict:
     """Everything needed to reproduce a failed prediction: the matrix, the
     tolerances and library versions to replay it with, the routing facts,
     the spectrum, and each claim with its outcome."""
+    import scipy
+
     m = as_matrix(a)
     return {
         "matrix": [[float(v) for v in row] for row in m],

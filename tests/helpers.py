@@ -254,6 +254,33 @@ def scramble_pairs():
     return pairs
 
 
+def reference_match_complex_multisets(a, b, tol: float):
+    """`match_complex_multisets` with scipy's assignment on every call: the
+    min-sum pairing, then a 0/1 pairing within `tol` when the min-sum one
+    is not.  Raises scipy's ValueError when scipy finds no finite pairing:
+    every pairing holds an infinite distance, or its path sums overflow."""
+    from scipy.optimize import linear_sum_assignment
+
+    from signspectra.spectral import MatchResult
+
+    av = np.asarray(a, dtype=complex).ravel()
+    bv = np.asarray(b, dtype=complex).ravel()
+    if av.size != bv.size:
+        return MatchResult(False, float("inf"))
+    if av.size == 0:
+        return MatchResult(True, 0.0)
+    with np.errstate(over="ignore"):
+        cost = np.abs(av[:, None] - bv[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    max_distance = float(cost[rows, cols].max())
+    if max_distance > tol:
+        rows, cols = linear_sum_assignment(cost > tol)
+        within = cost[rows, cols]
+        if (within <= tol).all():
+            max_distance = float(within.max())
+    return MatchResult(max_distance <= tol, max_distance)
+
+
 def hungarian_close(a, b, atol: float) -> bool:
     """True when the two complex multisets pair up within atol."""
     from signspectra.spectral import match_complex_multisets
@@ -263,7 +290,9 @@ def hungarian_close(a, b, atol: float) -> bool:
 
 def _wrap_calls(monkeypatch, names, record) -> None:
     """Wrap the named functions in every signspectra module namespace that
-    holds them so that each call first runs record(name, args)."""
+    holds them so that each call first runs record(name, args).  A dotted
+    name such as "scipy.sparse.csgraph.connected_components" wraps that one
+    module attribute, which a call-time import reads."""
     import functools
     import importlib
 
@@ -272,16 +301,18 @@ def _wrap_calls(monkeypatch, names, record) -> None:
         for name in ("core", "exterior", "signsym", "digraph", "wsets", "spectral")
     ]
     for name in names:
-        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        module_name, _, attr = name.rpartition(".")
+        holders = [importlib.import_module(module_name)] if module_name else modules
+        original = next(getattr(m, attr) for m in holders if hasattr(m, attr))
 
         @functools.wraps(original)
         def counted(*args, _name=name, _fn=original, **kwargs):
             record(_name, args)
             return _fn(*args, **kwargs)
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        for module in holders:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
 
 
 def count_calls(monkeypatch, *names: str) -> dict[str, int]:

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import json
 import os
@@ -507,11 +508,12 @@ class TestAnalyzeSharesFacts:
 
     def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
-        calls = count_calls(monkeypatch, "connected_components", "frobenius_form")
+        components = "scipy.sparse.csgraph.connected_components"
+        calls = count_calls(monkeypatch, components, "frobenius_form")
         code, out, _ = run("analyze", path)
         assert code == 0
         assert json.loads(out)["classification"]["theorem"] == "T11"
-        assert calls == {"connected_components": 1, "frobenius_form": 1}
+        assert calls == {components: 1, "frobenius_form": 1}
 
 
 # Gzipped `wsets` stdout for these inputs, recorded with the one-combination-
@@ -1007,25 +1009,40 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("text, cycle", [
+        # The peripheral pair +-1.5e308i lies sqrt(2) rho, beyond the float
+        # range, from both targets +-rho.
+        ("0,-1.5e308\n1.5e308,0\n", "(1, 2)"),
+        # Three peripheral eigenvalues near 1.2e308 lie sqrt(3) rho, beyond
+        # the float range, from two of the cube roots: all three rows are
+        # finite only at the root rho, though none is inf in every pairing.
+        ("1.2e308,1,-1\n1,1.2e308,1\n1,1,1.2e308\n", "(1, 3)"),
+    ])
+    def test_probe_inputs_with_every_pairing_infinite_classify(self, run, tmp_path, text, cycle):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("classify", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["theorem"] == "NONE"
+        assert data["diagnostics"] == f"matrix is not sign-symmetric: odd constraint cycle {cycle}"
+
     def test_inline_spec_with_unknown_field(self, run):
         assert run("gen", '{"kind": "tp2", "n": 5, "sed": 3}') == (
             1, "", "error: tp2 spec: unknown field 'sed'\n"
         )
 
-    @pytest.mark.parametrize("command", ["gen", "compound", "signsym"])
-    def test_commands_without_spectra_import_no_scipy(self, tmp_path, command):
-        # scipy takes most of a second to import; these commands never need it.
+    @staticmethod
+    def scipy_modules_after(*argv: str) -> list[str]:
+        """The scipy modules a fresh interpreter holds after `main(argv)`."""
         probe = (
             "import sys\n"
             "from signspectra.cli import main\n"
             "code = main(sys.argv[1:])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
             "sys.exit(code)\n"
-        )
-        argv = (
-            ["gen", '{"kind": "tp2", "n": 4, "seed": 1}']
-            if command == "gen"
-            else [command, write_csv(tmp_path, EXAMPLE1)]
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
@@ -1037,7 +1054,28 @@ class TestErrorsAndEnvironment:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
-        assert proc.stderr == "[]\n"
+        return ast.literal_eval(proc.stderr)
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "compound", "signsym", "classify", "analyze", "wsets"]
+    )
+    def test_commands_import_no_scipy(self, tmp_path, command):
+        # scipy takes most of a second to import.  An irreducible input needs
+        # no strong components, and its peripheral groups pair up row by row.
+        argv = (
+            ["gen", '{"kind": "tp2", "n": 4, "seed": 1}']
+            if command == "gen"
+            else [command, write_csv(tmp_path, EXAMPLE1)]
+        )
+        assert self.scipy_modules_after(*argv) == []
+
+    def test_verify_corpus_of_an_odd_cycle_imports_only_scipy_linalg(self, tmp_path):
+        # The product-law certificate takes a Schur form from scipy.linalg.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "cyclic_h", "n": 5, "h": 5}]))
+        loaded = self.scipy_modules_after("verify-corpus", str(manifest))
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("signspectra")

@@ -139,17 +139,17 @@ class TestSearchAgainstOracles:
 class TestStrongComponentCalls:
     # classify reads irreducibility from the pattern index of each matrix:
     # one search along the arcs and one against them when the matrix is
-    # irreducible, one when node 1 fails to reach every node.
-    NAMES = (
-        "connected_components", "is_irreducible", "_pattern_index", "_bfs_levels",
-    )
+    # irreducible, one when node 1 fails to reach every node.  Only
+    # frobenius_form labels strong components, through a call-time import.
+    COMPONENTS = "scipy.sparse.csgraph.connected_components"
+    NAMES = (COMPONENTS, "is_irreducible", "_pattern_index", "_bfs_levels")
 
     def test_t82_classify_labels_no_components(self, monkeypatch):
         calls = count_calls(monkeypatch, *self.NAMES)
         c = classify(cyclic_h(7, 7, seed=5))
         assert c.theorem == "T8.2" and c.verified
         assert calls == {
-            "connected_components": 0, "is_irreducible": 0,
+            self.COMPONENTS: 0, "is_irreducible": 0,
             "_pattern_index": 2, "_bfs_levels": 3,
         }
 
@@ -158,16 +158,16 @@ class TestStrongComponentCalls:
         c = classify(tp2(6, seed=0))
         assert c.theorem == "T9.1" and c.verified
         assert calls == {
-            "connected_components": 0, "is_irreducible": 0,
+            self.COMPONENTS: 0, "is_irreducible": 0,
             "_pattern_index": 2, "_bfs_levels": 4,
         }
 
     def test_imprimitivity_index_does_not_test_irreducibility(self, monkeypatch):
-        calls = count_calls(monkeypatch, "connected_components", "is_irreducible")
+        calls = count_calls(monkeypatch, self.COMPONENTS, "is_irreducible")
         assert imprimitivity_index(cyclic_h(9, 3, seed=1)).h == 3
         with pytest.raises(ReducibleInputError):
             imprimitivity_index(np.array([[1.0, 1.0], [0.0, 2.0]]))
-        assert calls == {"connected_components": 0, "is_irreducible": 0}
+        assert calls == {self.COMPONENTS: 0, "is_irreducible": 0}
 
 
 class TestFrobeniusForm:

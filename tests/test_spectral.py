@@ -22,7 +22,7 @@ from signspectra.spectral import (
     peripheral_spectrum,
 )
 
-from helpers import EXAMPLE1, count_calls, cycle_matrix
+from helpers import EXAMPLE1, count_calls, cycle_matrix, reference_match_complex_multisets
 
 
 class TestEigenvalues:
@@ -70,6 +70,28 @@ class TestEigenvalues:
 # Small Gaussian integers: distances tie often, where min-sum and min-max
 # pairings part ways.
 GAUSSIAN_INTEGER = st.builds(complex, st.integers(-2, 2), st.integers(-1, 1))
+# Exact ties and repeats, arbitrary small values, and parts near the float
+# limit.  Near the four ends of the axes at 1.7e308, points at one end lie
+# close together and points at different ends lie beyond the float range.
+HUGE = st.sampled_from([-1.7e308, -1.5e308, -1e308, 0.0, 1e308, 1.5e308, 1.7e308])
+AXIS_END = st.builds(
+    lambda end, offset: end + offset,
+    st.sampled_from([1.7e308, -1.7e308, 1.7e308j, -1.7e308j]),
+    GAUSSIAN_INTEGER,
+)
+MATCH_VALUE = st.one_of(
+    GAUSSIAN_INTEGER,
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    st.builds(complex, HUGE, HUGE),
+    AXIS_END,
+)
+
+
+def smallest_largest_distance(cost: np.ndarray) -> float:
+    """The largest distance of the best pairing, over every permutation."""
+    n = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    return cost[np.arange(n), perms].max(axis=1).min()
 
 
 class TestMatchMultisets:
@@ -112,6 +134,40 @@ class TestMatchMultisets:
             res = match_complex_multisets([1e308, -1e308, 0.0], [1e308, 0.0, -1e308], 1.0)
             assert res.ok and res.max_distance == 0.0
 
+    @pytest.mark.parametrize("a, b", [
+        # Row 0 is inf in every pairing.
+        ([1.7e308, 0.0], [-1e308, -0.5e308]),
+        # Every distance is inf: the peripheral pair of [[0, -1.5e308], [1.5e308, 0]].
+        ([1.5e308j, -1.5e308j], [1.5e308, -1.5e308]),
+        # Column 1 is inf in every pairing, though no row is all inf.
+        ([1e308, 1.7e308], [1.6e308, -1e308]),
+        # Rows 0 and 1 are finite only in column 0.
+        ([1.7e308, 1.6e308, 0.0], [1.65e308, -1e308, -1e308]),
+        # An infinite value lies beyond the float range of every finite one.
+        ([1, 2], [2, complex(float("inf"), 0)]),
+    ])
+    def test_every_pairing_infinite(self, a, b):
+        # scipy calls these cost matrices infeasible.
+        with pytest.raises(ValueError, match="infeasible"):
+            reference_match_complex_multisets(a, b, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = match_complex_multisets(a, b, 1.0)
+        assert (res.ok, res.max_distance) == (False, float("inf"))
+
+    @pytest.mark.parametrize("a, b", [
+        # Each row's nearest target is a different one, the NaN row's included.
+        ([5, float("nan")], [0, 5]),
+        ([float("nan")], [1]),
+        ([0, 1, 2], [1, 2, complex(0, float("nan"))]),
+    ])
+    def test_nan_distance_raises(self, a, b):
+        # scipy raises on these cost matrices too.
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            reference_match_complex_multisets(a, b, 1.0)
+        with pytest.raises(ValueError, match="distance is NaN"):
+            match_complex_multisets(a, b, 1.0)
+
     def test_min_sum_pairing_beyond_tol(self):
         # The min-sum pairing 1-1, 0-2 reaches 2.0; 0-1, 1-2 stays within 1.0.
         res = match_complex_multisets([1, 0], [1, 2], 1.5)
@@ -129,8 +185,7 @@ class TestMatchMultisets:
     def test_agrees_with_brute_force(self, sets, tol):
         a, b = (np.array(v, dtype=complex) for v in sets)
         cost = np.abs(a[:, None] - b[None, :])
-        perms = np.array(list(itertools.permutations(range(a.size))))
-        bottleneck = cost[np.arange(a.size), perms].max(axis=1).min()
+        bottleneck = smallest_largest_distance(cost)
         res = match_complex_multisets(a, b, tol)
         assert res.ok == (bottleneck <= tol)
         if res.ok:
@@ -139,6 +194,38 @@ class TestMatchMultisets:
             assert res.max_distance in cost
         else:
             assert res.max_distance > tol
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(*[st.lists(MATCH_VALUE, min_size=n, max_size=n)] * 2)
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 1e300]),
+    )
+    @example(([1.5e308j, -1.5e308j], [1.5e308, -1.5e308]), 1.0)
+    @example(([0, 0, -1.7e308], [0, 0, -1.7e308j]), 0.0)
+    @example(([1, 0], [1, 2]), 1.5)
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_scipy_on_every_call(self, sets, tol):
+        a, b = sets
+        res = match_complex_multisets(a, b, tol)
+        with np.errstate(over="ignore"):
+            cost = np.abs(np.subtract.outer(np.array(a, dtype=complex), np.array(b, dtype=complex)))
+        if (cost[np.isfinite(cost)] > 2.0**1000).any():
+            # scipy's path sums may overflow, so that it raises or returns a
+            # pairing that is not min-sum: check against every pairing.
+            bottleneck = smallest_largest_distance(cost)
+            assert res.ok == (bottleneck <= tol)
+            assert bottleneck <= res.max_distance and res.max_distance in cost
+            return
+        try:
+            expected = reference_match_complex_multisets(a, b, tol)
+        except ValueError:
+            # With finite sums scipy raises only when every pairing holds
+            # an infinite distance.
+            assert np.isinf(cost).any()
+            assert (res.ok, res.max_distance) == (False, float("inf"))
+        else:
+            assert (res.ok, res.max_distance) == (expected.ok, expected.max_distance)
 
 
 class TestPeripheralSpectrum:
