@@ -10,7 +10,7 @@ search over the nonzero pattern in each direction: the digraph is strongly
 connected exactly when node 0 reaches every node along the arcs and against
 them, and the levels of the forward search give the index.  Only
 `frobenius_form`, which needs every component, labels the strong
-components with scipy.
+components, by an iterative Tarjan search over the same arc lists.
 """
 
 from __future__ import annotations
@@ -68,6 +68,41 @@ def _bfs_levels(indptr: list[int], cols: list[int]) -> list[int]:
     return level
 
 
+def _strong_components(indptr: list[int], cols: list[int]) -> list[int]:
+    """Strong component label of every node, by Tarjan's search (SIAM J.
+    Comput., 1972) with an explicit path of nodes in place of recursion."""
+    n = len(indptr) - 1
+    order, low, label = [-1] * n, [0] * n, [-1] * n  # label -1: unseen or stacked
+    resume = indptr[:-1]  # the next arc to scan out of each node
+    stack, count, n_comp = [], 0, 0
+    for root in range(n):
+        path = [root] if order[root] < 0 else []
+        while path:
+            u = path[-1]
+            if order[u] < 0:
+                order[u] = low[u] = count
+                count += 1
+                stack.append(u)
+            lo = low[u]
+            for k in range(resume[u], indptr[u + 1]):
+                v = cols[k]
+                if order[v] < 0:  # descend into v, then rescan from arc k + 1
+                    resume[u], low[u] = k + 1, lo
+                    path.append(v)
+                    break
+                if label[v] < 0 and order[v] < lo:
+                    lo = order[v]
+            else:
+                path.pop()
+                if lo < order[u]:  # u is not its component's root, so has a parent
+                    low[path[-1]] = min(low[path[-1]], lo)
+                    continue
+                while label[u] < 0:  # u and the nodes stacked after it
+                    label[stack.pop()] = n_comp
+                n_comp += 1
+    return label
+
+
 def is_irreducible(a) -> bool:
     """True when the digraph of `a` is strongly connected (n = 1: always)."""
     return _pattern_index(as_matrix(a)) is not None
@@ -105,50 +140,42 @@ class FrobeniusForm:
 def frobenius_form(a) -> FrobeniusForm:
     """Strongly connected components of the digraph, ordered so that every
     arc of the condensation points from a later block to an earlier one."""
-    from scipy.sparse import csr_matrix  # with csgraph, 0.3 s to import
-    from scipy.sparse.csgraph import connected_components
-
     m = as_matrix(a)
-    pattern = csr_matrix((m != 0).astype(np.int8))
-    n_comp, labels = connected_components(pattern, directed=True, connection="strong")
+    rows, cols = np.nonzero(m)
+    label = _strong_components(*_adjacency(rows, cols, m.shape[0]))
+    n_comp = max(label) + 1
     members: list[list[int]] = [[] for _ in range(n_comp)]
-    for node, c in enumerate(labels.tolist()):
+    for node, c in enumerate(label):
         members[c].append(node)
 
-    # Each arc of the condensation once, as (source, target) component.
-    rows, cols = np.nonzero(m)
-    source, target = np.divmod(np.unique(labels[rows] * n_comp + labels[cols]), n_comp)
-    between = source != target
-    predecessors: list[list[int]] = [[] for _ in range(n_comp)]
-    for cu, cv in zip(source[between].tolist(), target[between].tolist()):
-        predecessors[cv].append(cu)
+    # Each arc of the condensation once, grouped by target component: a table
+    # of at most n^2 flags dedupes them faster than a sort.
+    into = np.zeros((n_comp, n_comp), dtype=bool)
+    into[np.take(label, cols), np.take(label, rows)] = True
+    np.fill_diagonal(into, False)
+    target, source = np.nonzero(into)
+    pred_ptr, predecessors = _adjacency(target, source, n_comp)
 
     # Components with no unplaced successors are eligible; smallest original
     # index first keeps the order deterministic.
-    remaining = np.bincount(source[between], minlength=n_comp).tolist()
+    remaining = np.bincount(source, minlength=n_comp).tolist()
     heap = [(members[c][0], c) for c in range(n_comp) if remaining[c] == 0]
     heapq.heapify(heap)
     placed: list[int] = []
     while heap:
         _, c = heapq.heappop(heap)
         placed.append(c)
-        for p in predecessors[c]:
+        for p in predecessors[pred_ptr[c]:pred_ptr[c + 1]]:
             remaining[p] -= 1
             if remaining[p] == 0:
                 heapq.heappush(heap, (members[p][0], p))
-    if len(placed) != n_comp:
-        raise AssertionError("condensation was not acyclic")
+    assert len(placed) == n_comp, "condensation was not acyclic"
 
     block_indices = tuple(tuple(i + 1 for i in members[c]) for c in placed)
-    blocks = tuple(
-        m[np.ix_([i - 1 for i in idx], [i - 1 for i in idx])] for idx in block_indices
-    )
-    rho_per_block = tuple(
-        float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks
-    )
-    images = tuple(i for idx in block_indices for i in idx)
+    blocks = tuple(m[np.ix_(members[c], members[c])] for c in placed)
+    rho_per_block = tuple(float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks)
     return FrobeniusForm(
-        perm=Permutation(images),
+        perm=Permutation(tuple(i for idx in block_indices for i in idx)),
         block_sizes=tuple(len(idx) for idx in block_indices),
         block_indices=block_indices,
         blocks=blocks,

@@ -203,6 +203,52 @@ def reference_block_order(a) -> tuple[tuple[int, ...], ...]:
     return tuple(order)
 
 
+def reference_frobenius_form(a):
+    """`frobenius_form` with the strong components labelled by scipy's
+    `connected_components`, as the library labelled them before it had its
+    own search: every block after all blocks it reaches, the one with the
+    smallest original index first among those eligible."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from signspectra.core import Permutation
+    from signspectra.digraph import FrobeniusForm
+
+    m = np.asarray(a, dtype=float)
+    n_comp, labels = connected_components(csr_matrix(m != 0), directed=True, connection="strong")
+    members = [[] for _ in range(n_comp)]
+    for node, c in enumerate(labels.tolist()):
+        members[c].append(node)
+    rows, cols = np.nonzero(m)
+    source, target = np.divmod(np.unique(labels[rows] * n_comp + labels[cols]), n_comp)
+    between = source != target
+    predecessors = [[] for _ in range(n_comp)]
+    for cu, cv in zip(source[between].tolist(), target[between].tolist()):
+        predecessors[cv].append(cu)
+    remaining = np.bincount(source[between], minlength=n_comp).tolist()
+    heap = [(members[c][0], c) for c in range(n_comp) if remaining[c] == 0]
+    heapq.heapify(heap)
+    placed = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        placed.append(c)
+        for p in predecessors[c]:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                heapq.heappush(heap, (members[p][0], p))
+    block_indices = tuple(tuple(i + 1 for i in members[c]) for c in placed)
+    blocks = tuple(m[np.ix_([i - 1 for i in idx], [i - 1 for i in idx])] for idx in block_indices)
+    rho_per_block = tuple(float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks)
+    return FrobeniusForm(
+        perm=Permutation(tuple(i for idx in block_indices for i in idx)),
+        block_sizes=tuple(map(len, block_indices)),
+        block_indices=block_indices,
+        blocks=blocks,
+        rho_per_block=rho_per_block,
+        rho=max(rho_per_block),
+    )
+
+
 def reference_eigenvalue_products(a, w=None, cut: float = 0.0) -> bool:
     """The dense product-law check: the eigenvalues of the W matrix (the
     compound when `w` is None) pair up with the products lambda_i lambda_j,

@@ -508,7 +508,7 @@ class TestAnalyzeSharesFacts:
 
     def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
-        components = "scipy.sparse.csgraph.connected_components"
+        components = "_strong_components"
         calls = count_calls(monkeypatch, components, "frobenius_form")
         code, out, _ = run("analyze", path)
         assert code == 0
@@ -1035,19 +1035,20 @@ class TestErrorsAndEnvironment:
         )
 
     @staticmethod
-    def scipy_modules_after(*argv: str) -> list[str]:
-        """The scipy modules a fresh interpreter holds after `main(argv)`."""
+    def scipy_modules_after(*argvs: list[str]) -> list[str]:
+        """The scipy modules a fresh interpreter holds after `main(argv)` for
+        each of `argvs` in turn."""
         probe = (
-            "import sys\n"
+            "import json, sys\n"
             "from signspectra.cli import main\n"
-            "code = main(sys.argv[1:])\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
-            "sys.exit(code)\n"
+            "sys.exit(max(codes))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         proc = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
+            [sys.executable, "-c", probe, json.dumps(argvs)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": pythonpath, "SIGNSPECTRA_THREADS": "1"},
@@ -1057,7 +1058,7 @@ class TestErrorsAndEnvironment:
         return ast.literal_eval(proc.stderr)
 
     @pytest.mark.parametrize(
-        "command", ["gen", "compound", "signsym", "classify", "analyze", "wsets"]
+        "command", ["gen", "compound", "signsym", "classify", "analyze", "wsets", "frobenius"]
     )
     def test_commands_import_no_scipy(self, tmp_path, command):
         # scipy takes most of a second to import.  An irreducible input needs
@@ -1067,15 +1068,32 @@ class TestErrorsAndEnvironment:
             if command == "gen"
             else [command, write_csv(tmp_path, EXAMPLE1)]
         )
-        assert self.scipy_modules_after(*argv) == []
+        assert self.scipy_modules_after(argv) == []
+
+    def test_commands_on_a_reducible_input_import_no_scipy(self, tmp_path):
+        # The strong components come from a Tarjan search, and the repeated
+        # roots of the two equal-radius 3-cycle blocks pair up by the
+        # assignment port.  One interpreter runs every command.
+        path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
+        commands = ["signsym", "classify", "analyze", "wsets", "frobenius"]
+        assert self.scipy_modules_after(*[[command, path] for command in commands]) == []
 
     def test_verify_corpus_of_an_odd_cycle_imports_only_scipy_linalg(self, tmp_path):
         # The product-law certificate takes a Schur form from scipy.linalg.
+        # No other scipy subpackage loads, for a 5-cycle or for a 5-cycle and
+        # a 3-cycle of equal spectral radius as two diagonal blocks.
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps([{"kind": "cyclic_h", "n": 5, "h": 5}]))
-        loaded = self.scipy_modules_after("verify-corpus", str(manifest))
+        cycle = {"kind": "cyclic_h", "n": 5, "h": 5}
+        blocks = {
+            "kind": "reducible_blocks",
+            "blocks": [cycle, {**cycle, "n": 3, "h": 3}],
+            "rho_targets": [1.0, 1.0],
+        }
+        manifest.write_text(json.dumps([cycle, blocks]))
+        loaded = self.scipy_modules_after(["verify-corpus", str(manifest)])
         assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
+        subpackages = {m.split(".")[1] for m in loaded if "." in m}
+        assert {p for p in subpackages if not p.startswith("_")} <= {"linalg", "version"}
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("signspectra")

@@ -22,6 +22,7 @@ from helpers import (
     hungarian_close,
     kosaraju_components,
     reference_block_order,
+    reference_frobenius_form,
 )
 
 
@@ -140,8 +141,8 @@ class TestStrongComponentCalls:
     # classify reads irreducibility from the pattern index of each matrix:
     # one search along the arcs and one against them when the matrix is
     # irreducible, one when node 1 fails to reach every node.  Only
-    # frobenius_form labels strong components, through a call-time import.
-    COMPONENTS = "scipy.sparse.csgraph.connected_components"
+    # frobenius_form labels strong components.
+    COMPONENTS = "_strong_components"
     NAMES = (COMPONENTS, "is_irreducible", "_pattern_index", "_bfs_levels")
 
     def test_t82_classify_labels_no_components(self, monkeypatch):
@@ -196,6 +197,31 @@ class TestFrobeniusForm:
             got = {frozenset(idx) for idx in form.block_indices}
             assert got == set(kosaraju_components(a))
             assert form.block_indices == reference_block_order(a)
+
+    @staticmethod
+    def assert_equals_reference(a):
+        form, expected = frobenius_form(a), reference_frobenius_form(a)
+        for field in ("perm", "block_sizes", "block_indices", "rho_per_block", "rho"):
+            assert getattr(form, field) == getattr(expected, field), field
+        assert len(form.blocks) == len(expected.blocks)
+        for got, want in zip(form.blocks, expected.blocks):
+            assert np.array_equal(got, want)
+
+    def test_equals_scipy_components_reference(self):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            n = int(rng.integers(1, 41))
+            self.assert_equals_reference(random_pattern(rng, n, rng.choice([0.03, 0.08, 0.2, 0.5])))
+
+    def test_dense_block_triangular_equals_reference(self):
+        # 300 nodes in 12 dense blocks of random sizes, every arc between two
+        # blocks pointing forward, under a random relabelling.
+        rng = np.random.default_rng(41)
+        n = 300
+        block_of = np.sort(rng.integers(0, 12, n))
+        a = (block_of[:, None] <= block_of[None, :]) * rng.uniform(0.5, 1.5, (n, n))
+        perm = rng.permutation(n)
+        self.assert_equals_reference(a[np.ix_(perm, perm)])
 
     def test_structure_and_spectrum(self):
         rng = np.random.default_rng(29)

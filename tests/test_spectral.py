@@ -13,6 +13,7 @@ from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.digraph import frobenius_form
 from signspectra.spectral import (
     Classification,
+    _assignment,
     Facts,
     Spectrum,
     classify,
@@ -88,10 +89,44 @@ MATCH_VALUE = st.one_of(
 
 
 def smallest_largest_distance(cost: np.ndarray) -> float:
-    """The largest distance of the best pairing, over every permutation."""
+    """The largest distance of the best pairing: over every permutation up
+    to n = 7, above that the smallest distance t for which scipy finds a
+    pairing with no distance beyond t."""
     n = cost.shape[0]
-    perms = np.array(list(itertools.permutations(range(n))))
-    return cost[np.arange(n), perms].max(axis=1).min()
+    if n <= 7:
+        perms = np.array(list(itertools.permutations(range(n))))
+        return cost[np.arange(n), perms].max(axis=1).min()
+    from scipy.optimize import linear_sum_assignment
+
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1  # values[hi] always admits a pairing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        beyond = cost > values[mid]
+        if beyond[linear_sum_assignment(beyond)].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return values[hi]
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """A square cost matrix, k <= 77, that ties often: small integers, 0/1
+    costs, or the distances from clusters (1 + j 2^-52) w^t to repeated
+    k-th roots of unity w^s."""
+    k = draw(st.integers(1, 77))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "binary", "clusters"]))
+    if kind == "integers":
+        return rng.integers(0, draw(st.integers(1, 4)), (k, k)).astype(float)
+    if kind == "binary":
+        return rng.random((k, k)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    spread = draw(st.integers(1, k))  # how many distinct roots are drawn from
+    a = (1 + rng.integers(0, 4, k) * 2.0**-52) * roots[rng.integers(0, spread, k)]
+    b = roots[rng.integers(0, spread, k)]
+    return np.abs(a[:, None] - b[None, :])
 
 
 class TestMatchMultisets:
@@ -196,7 +231,7 @@ class TestMatchMultisets:
             assert res.max_distance > tol
 
     @given(
-        st.integers(1, 7).flatmap(
+        st.integers(1, 20).flatmap(
             lambda n: st.tuples(*[st.lists(MATCH_VALUE, min_size=n, max_size=n)] * 2)
         ),
         st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 1e300]),
@@ -226,6 +261,33 @@ class TestMatchMultisets:
             assert (res.ok, res.max_distance) == (False, float("inf"))
         else:
             assert (res.ok, res.max_distance) == (expected.ok, expected.max_distance)
+
+    @given(tie_heavy_costs())
+    @example(np.zeros((3, 3)))
+    @example(np.ones((77, 77), dtype=bool))
+    @settings(max_examples=100, deadline=None)
+    def test_assignment_port_pairs_as_scipy(self, cost):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = _assignment(cost)
+        expected_rows, expected_cols = linear_sum_assignment(cost)
+        assert rows.tolist() == expected_rows.tolist()
+        assert cols.tolist() == expected_cols.tolist()
+
+    @pytest.mark.parametrize("n, scipy_calls", [(77, 0), (78, 2)])
+    def test_scipy_pairs_only_above_77_values(self, monkeypatch, n, scipy_calls):
+        # The n-cycle with one negative arc: each eigenvalue, an n-th root of
+        # -1, lies halfway between two n-th roots of 1, so the row rule fails
+        # and both the min-sum and the 0/1 pairing run.
+        a = cycle_matrix(n)
+        a[0, 1] = -1.0
+        values = eigenvalues(a).values
+        targets = np.exp(2j * np.pi * np.arange(n) / n)
+        name = "scipy.optimize.linear_sum_assignment"
+        calls = count_calls(monkeypatch, name)
+        res = match_complex_multisets(values, targets, 1e-9)
+        assert calls == {name: scipy_calls}
+        assert res == reference_match_complex_multisets(values, targets, 1e-9)
 
 
 class TestPeripheralSpectrum:
