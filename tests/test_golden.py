@@ -19,9 +19,14 @@ text, and the stdout, stderr and exit code of `gen` on the text written to
 `spec.json`, and of `verify-corpus` on `manifest.json`, the text as the one
 element of a list (a leading byte-order mark stays in front).
 
+`data/golden/leaves.jsonl.gz` holds one JSON line per matrix of
+`LEAF_MATRICES`, one for each leaf of `classify` that the 52 specs miss: the
+matrix, and the stdout, stderr and exit code of `classify` and `analyze` on
+it, written as `matrix.csv` as above.
+
 The tests replay every line in-process through `cli.main` and ask for the
 same bytes.  The specs are fixed once.  After a deliberate change of output,
-re-record the outputs of the same specs in all three files with
+re-record the outputs of the same specs in all four files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -39,6 +44,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from signspectra.cli import format_matrix_csv, main
 from signspectra.gen import GenSpec, generate
 
@@ -46,7 +53,20 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 GOLDEN = GOLDEN_DIR / "verify_corpus.jsonl.gz"
 COMMANDS_GOLDEN = GOLDEN_DIR / "commands.jsonl.gz"
 ERRORS_GOLDEN = GOLDEN_DIR / "errors.jsonl.gz"
+LEAVES_GOLDEN = GOLDEN_DIR / "leaves.jsonl.gz"
 COMMANDS = ("analyze", "classify", "signsym", "frobenius", "wsets")
+LEAF_COMMANDS = ("classify", "analyze")
+
+# One matrix per leaf that no spec of the 52 reaches, with the leaf it reaches.
+LEAF_MATRICES = [
+    [[1, 0], [0, -1]],  # NONE: the matrix is not sign-symmetric
+    [[0]],  # NONE: 1x1 with zero spectral radius
+    [[2]],  # T10: 1x1
+    [[0, 1], [0, 0]],  # NONE: zero spectral radius, n >= 2
+    [[0, -1, 0], [0, 0, -1], [1, 0, 0]],  # T9.2
+    [[1, -1, -1], [-1, 1, 0], [-1, 1, 1]],  # T10, with a positive 2x2 principal minor
+    [[1, 1], [1, 1]],  # T10, with none
+]
 
 
 def _scrambled(levels: int) -> dict:
@@ -115,13 +135,18 @@ def verify_corpus(spec: dict, work: Path) -> dict:
 
 
 def commands(spec: dict, work: Path) -> dict:
-    """The `run_cli` result of each of COMMANDS on the spec's matrix, read
-    as `matrix.csv` with `work` as the working directory."""
-    (work / "matrix.csv").write_text(format_matrix_csv(generate(GenSpec.from_dict(spec))))
+    """The `run_cli` result of each of COMMANDS on the spec's matrix."""
+    return matrix_commands(generate(GenSpec.from_dict(spec)), COMMANDS, work)
+
+
+def matrix_commands(matrix, names: tuple[str, ...], work: Path) -> dict:
+    """The `run_cli` result of each command of `names` on `matrix`, read as
+    `matrix.csv` with `work` as the working directory."""
+    (work / "matrix.csv").write_text(format_matrix_csv(np.asarray(matrix, dtype=float)))
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        return {command: run_cli([command, "matrix.csv"]) for command in COMMANDS}
+        return {command: run_cli([command, "matrix.csv"]) for command in names}
     finally:
         os.chdir(cwd)
 
@@ -150,16 +175,22 @@ def _write(path: Path, lines: list[str]) -> None:
 
 def record(specs: list[dict]) -> None:
     """Write the outputs of `specs`, in order, to the two golden files of
-    the 52 specs, and those of ERROR_SPECS to the third."""
+    the 52 specs, those of ERROR_SPECS to the third and those of
+    LEAF_MATRICES to the fourth."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         corpus = [json.dumps({"spec": spec, **verify_corpus(spec, work)}) for spec in specs]
         per_command = [json.dumps({"spec": spec, **commands(spec, work)}) for spec in specs]
         errors = [json.dumps({"spec": text, **spec_errors(text, work)}) for text in ERROR_SPECS]
+        leaves = [
+            json.dumps({"matrix": m, **matrix_commands(m, LEAF_COMMANDS, work)})
+            for m in LEAF_MATRICES
+        ]
     _write(GOLDEN, corpus)
     _write(COMMANDS_GOLDEN, per_command)
     _write(ERRORS_GOLDEN, errors)
+    _write(LEAVES_GOLDEN, leaves)
 
 
 def test_verify_corpus_replays_byte_for_byte(tmp_path):
@@ -187,8 +218,16 @@ def test_spec_errors_replay_byte_for_byte(tmp_path):
         assert got == {k: entry[k] for k in ("gen", "verify-corpus")}, entry["spec"]
 
 
+def test_leaves_replay_byte_for_byte(tmp_path):
+    golden = load_golden(LEAVES_GOLDEN)
+    assert [entry["matrix"] for entry in golden] == LEAF_MATRICES
+    for entry in golden:
+        got = matrix_commands(entry["matrix"], LEAF_COMMANDS, tmp_path)
+        assert got == {k: entry[k] for k in LEAF_COMMANDS}, entry["matrix"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
     record([entry["spec"] for entry in load_golden()])
-    print(f"re-recorded {GOLDEN}, {COMMANDS_GOLDEN} and {ERRORS_GOLDEN}")
+    print(f"re-recorded {GOLDEN}, {COMMANDS_GOLDEN}, {ERRORS_GOLDEN} and {LEAVES_GOLDEN}")
