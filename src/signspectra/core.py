@@ -49,13 +49,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         raise ValueError(f"{name} must have dimension at least 1")
-    if n > MAX_DIMENSION:
-        raise ValueError(
-            f"{name} dimension {n} exceeds the supported maximum {MAX_DIMENSION}"
-        )
+    _check_dimension(n, name)
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
     return m
+
+
+def _check_dimension(n: int, name: str = "matrix") -> None:
+    """ValueError when an n x n `name` would exceed MAX_DIMENSION, read at call time."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"{name} dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
 
 
 def pair_count(n: int) -> int:

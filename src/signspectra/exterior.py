@@ -34,18 +34,21 @@ __all__ = [
 MAX_COMPOUND_BASE = 180
 
 
+def _check_base(n: int) -> None:
+    if n > MAX_COMPOUND_BASE:
+        raise ValueError(
+            f"second compound: base dimension {n} exceeds {MAX_COMPOUND_BASE}; "
+            f"the dense minor grid would need C({n},2)^2 entries"
+        )
+
+
 def _minor_grid(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Grid of 2x2 minors a(i_p, j_p; i_q, j_q) over the 0-based pairs
     (i_p, j_p), gathered by rows: the one gather behind `compound2` and
     `w_matrix`.  Raises ValueError("second compound: ...") when the base
     dimension exceeds MAX_COMPOUND_BASE, before any minor is computed, or
     when a minor overflows."""
-    n = a.shape[0]
-    if n > MAX_COMPOUND_BASE:
-        raise ValueError(
-            f"second compound: base dimension {n} exceeds {MAX_COMPOUND_BASE}; "
-            f"the dense minor grid would need C({n},2)^2 entries"
-        )
+    _check_base(a.shape[0])
     ai, aj = a[i], a[j]
     with np.errstate(over="ignore", invalid="ignore"):
         grid = ai[:, i] * aj[:, j] - ai[:, j] * aj[:, i]

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix
-from .exterior import compound2
+from .core import _check_dimension, as_matrix
+from .exterior import _check_base, compound2
 
 __all__ = [
     "GenerationError",
@@ -47,6 +47,7 @@ def nonneg_irreducible(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_dimension(n)
     if not (0.0 <= density <= 1.0):
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if magnitude <= 0.0:
@@ -72,6 +73,7 @@ def cyclic_h(n: int, h: int, seed: int = 0, magnitude: float = 1.0) -> np.ndarra
     """
     if not (1 <= h <= n):
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
+    _check_dimension(n)
     if magnitude <= 0.0:
         raise ValueError(f"magnitude must be positive, got {magnitude}")
     rng = _rng(seed)
@@ -97,6 +99,7 @@ def tp2(n: int, seed: int = 0) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    _check_base(n)  # no larger n passes the compound2 check below
     rng = _rng(seed)
     for attempt in range(20):
         if seed == 0:
@@ -162,6 +165,8 @@ def reducible_blocks(blocks, rho_targets=None) -> np.ndarray:
     mats = [as_matrix(b, name=f"block {t + 1}") for t, b in enumerate(blocks)]
     if not mats:
         raise ValueError("at least one block is required")
+    ends = np.cumsum([len(b) for b in mats])
+    _check_dimension(int(ends[-1]))
     if rho_targets is not None:
         if len(rho_targets) != len(mats):
             raise ValueError(
@@ -178,7 +183,6 @@ def reducible_blocks(blocks, rho_targets=None) -> np.ndarray:
                 )
             scaled.append(b * (target / r) if r > 0.0 else b)
         mats = scaled
-    ends = np.cumsum([len(b) for b in mats])
     out = np.zeros((ends[-1], ends[-1]))
     for b, end in zip(mats, ends):
         out[end - len(b) : end, end - len(b) : end] = b

@@ -1,32 +1,15 @@
 """Peripheral spectrum classification for sign-symmetric matrices.
 
-`classify` routes a matrix through a decision tree on four structural facts:
+`classify` routes a matrix through a decision tree on its structural facts:
 sign-symmetry of the matrix and of its second compound, irreducibility of
 both, the sign of the trace, and the existence of a transitive candidate W
-set.  Each leaf carries a set of predictions about the peripheral spectrum
-(the eigenvalues of largest modulus), every one of which is then verified
-against the numerically computed spectrum.  A classification whose
-predictions all check out is `verified`; a failure is reported per claim so
-the caller can assemble a counterexample bundle.
-
-Leaf labels:
-
-  T9.1  matrix and compound irreducible, a transitive candidate exists:
-        simple positive dominant eigenvalue, second eigenvalue real positive,
-        second-modulus circle sized by the compound's imprimitivity index.
-  T9.2  matrix and compound irreducible, no transitive candidate: exactly
-        three peripheral eigenvalues, the cube roots of rho^3.
-  T10   matrix irreducible with positive trace: index one, second eigenvalue
-        real nonnegative (positive if some 2x2 principal minor is positive).
-  T8.1  matrix irreducible, compound reducible, zero trace, transitive
-        candidate exists: index one, second eigenvalue real nonnegative.
-  T8.2  matrix irreducible, compound reducible, zero trace, no transitive
-        candidate: the peripheral spectrum is the k-th roots of rho^k for an
-        odd k equal to the imprimitivity index.
-  T11   matrix reducible: the peripheral spectrum splits into one odd group
-        of roots per spectral-radius-attaining diagonal block.
-  NONE  structure absent (not sign-symmetric at some level) or degenerate
-        (zero spectral radius); nothing is predicted.
+set.  The tree is the table `_LEAVES`, one row per leaf, listed with each
+leaf's route and claims in the README's leaf table.  Each leaf carries a set
+of predictions about the peripheral spectrum (the eigenvalues of largest
+modulus), every one of which is then verified against the numerically
+computed spectrum.  A classification whose predictions all check out is
+`verified`; a failure is reported per claim so the caller can assemble a
+counterexample bundle.
 """
 
 from __future__ import annotations
@@ -34,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -437,12 +420,7 @@ class Facts:
 
     def _compound_as_graph(self) -> np.ndarray | None:
         """`compound`, once C(n,2) is known to fit the graph limit."""
-        size = pair_count(self.n)
-        if size > core.MAX_DIMENSION:
-            raise ValueError(
-                f"second compound: matrix dimension {size}"
-                f" exceeds the supported maximum {core.MAX_DIMENSION}"
-            )
+        core._check_dimension(pair_count(self.n), "second compound: matrix")
         return self.compound
 
     @cached_property
@@ -495,25 +473,6 @@ class _Tolerances(NamedTuple):
     eig: float  # `rel` scaled by max(1, rho), for eigenvalue distances
 
 
-def _classification(
-    facts: Facts, peripheral: PeripheralGroup, tol: _Tolerances,
-    theorem: str, predictions, diagnostics: str, *,
-    compound_irreducible: bool | None = None,
-    exists_transitive: bool | None = None,
-    h: int | None = None,
-    h_compound: int | None = None,
-    rho_multiplicity: int | None = None,
-) -> Classification:
-    """The fields every leaf shares; `irreducible` is read from the facts."""
-    predictions = tuple(predictions)
-    return Classification(
-        theorem, predictions, all(p.verified for p in predictions), diagnostics,
-        facts.spectrum, peripheral, facts.irreducible, compound_irreducible,
-        exists_transitive, h, h_compound, peripheral.count, rho_multiplicity,
-        tol.rel, tol.peripheral,
-    )
-
-
 def _check_tolerances(rel_tol: float, peripheral_tol: float) -> None:
     if not 0.0 < rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
@@ -525,9 +484,9 @@ def classify(
     rel_tol: float = DEFAULT_REL_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
 ) -> Classification:
-    """Route a matrix, or its `Facts`, through the structural decision tree
-    and verify every prediction of the selected leaf against the computed
-    spectrum.
+    """Route a matrix, or its `Facts`, to the first leaf of `_LEAVES` whose
+    route holds and verify every prediction of that leaf against the
+    computed spectrum.
 
     `rel_tol` (finite, > 0) scales eigenvalue matching and `peripheral_tol`
     (in (0, 1)) the peripheral modulus band; other values raise ValueError.
@@ -540,62 +499,62 @@ def classify(
     spec = facts.spectrum
     peripheral = peripheral_spectrum(spec, peripheral_tol)
     tol = _Tolerances(rel_tol, peripheral_tol, rel_tol * max(1.0, spec.rho))
-
-    if not facts.graph_a.consistent:
-        return _classification(
-            facts, peripheral, tol, "NONE", (),
-            "matrix is not sign-symmetric: odd constraint cycle"
-            f" {facts.graph_a.odd_cycle}",
-        )
-
-    rho_zero = spec.rho <= 1e-12 * max(1.0, _frobenius_norm(facts.matrix))
-    zero_text = "spectral radius is zero; peripheral structure is degenerate"
-
-    if facts.n == 1:
-        if rho_zero:
-            return _classification(facts, peripheral, tol, "NONE", (), zero_text)
-        return _classification(
-            facts, peripheral, tol, "T10",
-            (_pred_rho_eigenvalue(spec, tol.eig), _pred_index_one(1, peripheral)),
-            "1x1 matrix with positive entry; second-eigenvalue claims are vacuous",
-            exists_transitive=True, h=1,
-        )
-
-    if not facts.graph_c.consistent:
-        return _classification(
-            facts, peripheral, tol, "NONE", (),
-            "second compound is not sign-symmetric: odd constraint cycle"
-            f" {facts.graph_c.odd_cycle}",
-        )
-    if rho_zero:
-        return _classification(
-            facts, peripheral, tol, "NONE", (), zero_text,
-            compound_irreducible=facts.compound_irreducible,
-        )
-
-    if not facts.irreducible:
-        return _classify_reducible(facts, peripheral, tol)
-    if facts.compound_irreducible:
-        if facts.transitive_w is not None:
-            return _classify_t91(facts, peripheral, tol)
-        return _classify_t92(facts, peripheral, tol)
-    if float(np.trace(facts.matrix)) > 0.0:
-        return _classify_t10_t81(facts, peripheral, tol, "T10")
-    if facts.transitive_w is not None:
-        return _classify_t10_t81(facts, peripheral, tol, "T8.1")
-    return _classify_t82(facts, peripheral, tol)
+    leaf = next(leaf for leaf in _LEAVES if leaf.route(facts))
+    predictions = tuple(leaf.claims(facts, peripheral, tol))
+    reported = {
+        name: read(facts, tol) if name in leaf.reports else None
+        for name, read in _ROUTING_FACTS.items()
+    }
+    return Classification(
+        leaf.label, predictions, all(p.verified for p in predictions),
+        leaf.diagnostics(facts, reported), spec, peripheral, facts.irreducible,
+        peripheral_count=peripheral.count, rel_tol=rel_tol, peripheral_tol=peripheral_tol,
+        **reported,
+    )
 
 
-def _classify_t91(facts, peripheral, tol):
+def _rho_zero(facts: Facts) -> bool:
+    return facts.spectrum.rho <= 1e-12 * max(1.0, _frobenius_norm(facts.matrix))
+
+
+def _attaining(facts: Facts, tol: _Tolerances) -> list[int]:
+    """The Frobenius blocks whose spectral radius is within the peripheral band."""
+    rho_band = facts.spectrum.rho * (1.0 - tol.peripheral)
+    return [t for t, r in enumerate(facts.frobenius.rho_per_block) if r >= rho_band]
+
+
+# How each routing fact is read.  A leaf reports only facts that its route
+# decided or that its claims read; a 1x1 matrix, with no compound, counts as
+# having a transitive W set.
+_ROUTING_FACTS = {
+    "compound_irreducible": lambda f, tol: f.compound_irreducible,
+    "exists_transitive": lambda f, tol: f.n == 1 or f.transitive_w is not None,
+    "h": lambda f, tol: f.imprimitivity.h,
+    "h_compound": lambda f, tol: f.compound_imprimitivity.h,
+    "rho_multiplicity": lambda f, tol: len(_attaining(f, tol)),
+}
+
+
+def _no_claims(facts, peripheral, tol) -> tuple:
+    return ()
+
+
+def _primitive_claims(facts, peripheral, tol, strict: bool = False) -> list[Prediction]:
+    """The claims of T9.1, T10 and T8.1: rho an eigenvalue, index one, and
+    lambda2 real (positive when `strict`, else nonnegative) below rho."""
     spec = facts.spectrum
-    h_a = facts.imprimitivity.h
-    h_c = facts.compound_imprimitivity.h
-    preds = [
+    return [
         _pred_rho_eigenvalue(spec, tol.eig),
-        _pred_index_one(h_a, peripheral),
-        _pred_second_real(spec, strict=True),
+        _pred_index_one(facts.imprimitivity.h, peripheral),
+        _pred_second_real(spec, strict),
         _pred_second_below_rho(spec),
     ]
+
+
+def _t91_claims(facts, peripheral, tol) -> list[Prediction]:
+    spec = facts.spectrum
+    h_c = facts.compound_imprimitivity.h
+    preds = _primitive_claims(facts, peripheral, tol, strict=True)
     r2 = abs(_second_value(spec))
     if r2 == 0.0:
         detail = "second eigenvalue has zero modulus; circle structure undefined"
@@ -622,18 +581,13 @@ def _classify_t91(facts, peripheral, tol):
         )
         ok = match.ok and int(circle.size) == h_c
     preds.append(Prediction("second_circle_matches_compound_index", detail, ok))
-    return _classification(
-        facts, peripheral, tol, "T9.1", preds,
-        "matrix and second compound both irreducible and sign-symmetric;"
-        " a transitive candidate W set exists",
-        compound_irreducible=True, exists_transitive=True, h=h_a, h_compound=h_c,
-    )
+    return preds
 
 
-def _classify_t92(facts, peripheral, tol):
+def _t92_claims(facts, peripheral, tol) -> tuple[Prediction, ...]:
     h_a = facts.imprimitivity.h
     h_c = facts.compound_imprimitivity.h
-    preds = (
+    return (
         _pred_rho_eigenvalue(facts.spectrum, tol.eig),
         Prediction(
             "index_equals_three",
@@ -648,53 +602,21 @@ def _classify_t92(facts, peripheral, tol):
         _pred_peripheral_roots(peripheral, 3, tol.eig),
         _pred_peripheral_simple(peripheral),
     )
-    return _classification(
-        facts, peripheral, tol, "T9.2", preds,
-        "matrix and second compound both irreducible and sign-symmetric;"
-        " no transitive candidate W set",
-        compound_irreducible=True, exists_transitive=False, h=h_a, h_compound=h_c,
-    )
 
 
-def _classify_t10_t81(facts, peripheral, tol, label):
-    spec = facts.spectrum
-    h_a = facts.imprimitivity.h
-    preds = [
-        _pred_rho_eigenvalue(spec, tol.eig),
-        _pred_index_one(h_a, peripheral),
-        _pred_second_real(spec, strict=False),
-        _pred_second_below_rho(spec),
-    ]
-    if label == "T10":
-        if (np.diag(facts.compound) > 0).any():  # 2x2 principal minors of A
-            preds.append(_pred_second_real(spec, strict=True))
-        diag = (
-            "matrix irreducible and sign-symmetric with sign-symmetric compound"
-            " and positive trace"
-        )
-    else:
-        diag = (
-            "matrix irreducible, compound sign-symmetric but reducible, zero"
-            " trace; a transitive candidate W set exists"
-        )
-    return _classification(
-        facts, peripheral, tol, label, preds, diag,
-        compound_irreducible=False,
-        exists_transitive=True if label == "T8.1" else None,
-        h=h_a,
-    )
+def _t10_claims(facts, peripheral, tol) -> list[Prediction]:
+    preds = _primitive_claims(facts, peripheral, tol)
+    if (np.diag(facts.compound) > 0).any():  # 2x2 principal minors of A
+        preds.append(_pred_second_real(facts.spectrum, strict=True))
+    return preds
 
 
-def _classify_t82(facts, peripheral, tol):
+def _t82_claims(facts, peripheral, tol) -> tuple[Prediction, ...]:
     h_a = facts.imprimitivity.h
     k = peripheral.count
-    preds = (
+    return (
         _pred_rho_eigenvalue(facts.spectrum, tol.eig),
-        Prediction(
-            "peripheral_count_odd",
-            f"peripheral count {k} is odd",
-            k % 2 == 1,
-        ),
+        Prediction("peripheral_count_odd", f"peripheral count {k} is odd", k % 2 == 1),
         Prediction(
             "peripheral_count_equals_index",
             f"peripheral count {k} equals the imprimitivity index {h_a}",
@@ -703,35 +625,25 @@ def _classify_t82(facts, peripheral, tol):
         _pred_peripheral_roots(peripheral, h_a, tol.eig),
         _pred_peripheral_simple(peripheral),
     )
-    return _classification(
-        facts, peripheral, tol, "T8.2", preds,
-        "matrix irreducible, compound sign-symmetric but reducible, zero trace;"
-        " no transitive candidate W set",
-        compound_irreducible=False, exists_transitive=False, h=h_a,
-    )
 
 
-def _classify_reducible(facts, peripheral, tol):
+def _t11_claims(facts, peripheral, tol) -> list[Prediction]:
     spec = facts.spectrum
-    rho = spec.rho
     form = facts.frobenius
-    attaining = [
-        t for t, r in enumerate(form.rho_per_block)
-        if r >= rho * (1.0 - tol.peripheral)
-    ]
-    mult = len(attaining)
-    group_indices = [
-        imprimitivity_index(form.blocks[t]).h for t in attaining
-    ]
-
-    rho_close = int(np.sum(np.abs(spec.values - rho) <= tol.eig))
-    preds = [
+    attaining = _attaining(facts, tol)
+    group_indices = [imprimitivity_index(form.blocks[t]).h for t in attaining]
+    rho_close = int(np.sum(np.abs(spec.values - spec.rho) <= tol.eig))
+    targets = np.concatenate(
+        [_roots_targets(form.rho_per_block[t], k) for t, k in zip(attaining, group_indices)]
+    ) if attaining else np.zeros(0, dtype=complex)
+    match = match_complex_multisets(peripheral.values, targets, tol.eig)
+    return [
         _pred_rho_eigenvalue(spec, tol.eig),
         Prediction(
             "rho_multiplicity_matches_blocks",
             f"rho appears {rho_close} times in the spectrum, matching"
-            f" {mult} spectral-radius-attaining blocks",
-            rho_close == mult,
+            f" {len(attaining)} spectral-radius-attaining blocks",
+            rho_close == len(attaining),
         ),
         Prediction(
             "peripheral_groups_odd",
@@ -744,28 +656,63 @@ def _classify_reducible(facts, peripheral, tol):
             f" {sum(group_indices)}",
             peripheral.count == sum(group_indices),
         ),
-    ]
-    targets = np.concatenate(
-        [
-            _roots_targets(form.rho_per_block[t], k)
-            for t, k in zip(attaining, group_indices)
-        ]
-    ) if attaining else np.zeros(0, dtype=complex)
-    match = match_complex_multisets(peripheral.values, targets, tol.eig)
-    preds.append(
         Prediction(
             "peripheral_groups_match_roots",
             f"peripheral spectrum matches the union of per-block root groups:"
             f" max distance {_fmt(match.max_distance)} within {_fmt(tol.eig)}",
             match.ok,
-        )
-    )
-    return _classification(
-        facts, peripheral, tol, "T11", preds,
-        f"matrix reducible with {len(form.block_sizes)} diagonal blocks,"
-        f" {mult} attaining the spectral radius",
-        compound_irreducible=facts.compound_irreducible, rho_multiplicity=mult,
-    )
+        ),
+    ]
+
+
+class _Leaf(NamedTuple):
+    label: str
+    route: Callable[[Facts], bool]  # tested only when no earlier route held
+    diagnostics: Callable[[Facts, dict], str]  # of the facts and the reported ones
+    claims: Callable[[Facts, PeripheralGroup, _Tolerances], Sequence[Prediction]]
+    reports: tuple[str, ...]  # keys of _ROUTING_FACTS; the others are None
+
+
+_ZERO_TEXT = "spectral radius is zero; peripheral structure is degenerate"
+_BOTH_IRREDUCIBLE = "matrix and second compound both irreducible and sign-symmetric;"
+_COMPOUND_REDUCIBLE = "matrix irreducible, compound sign-symmetric but reducible, zero trace;"
+
+# The decision tree, one row per leaf, in the order of the README's leaf table.
+_LEAVES = (
+    _Leaf("NONE", lambda f: not f.graph_a.consistent,
+          lambda f, r: f"matrix is not sign-symmetric: odd constraint cycle {f.graph_a.odd_cycle}",
+          _no_claims, ()),
+    _Leaf("NONE", lambda f: f.n == 1 and _rho_zero(f), lambda f, r: _ZERO_TEXT, _no_claims, ()),
+    _Leaf("T10", lambda f: f.n == 1,
+          lambda f, r: "1x1 matrix with positive entry; second-eigenvalue claims are vacuous",
+          lambda f, p, tol: (_pred_rho_eigenvalue(f.spectrum, tol.eig), _pred_index_one(1, p)),
+          ("exists_transitive", "h")),
+    _Leaf("NONE", lambda f: not f.graph_c.consistent,
+          lambda f, r: "second compound is not sign-symmetric: odd constraint cycle"
+          f" {f.graph_c.odd_cycle}",
+          _no_claims, ()),
+    _Leaf("NONE", _rho_zero, lambda f, r: _ZERO_TEXT, _no_claims, ("compound_irreducible",)),
+    _Leaf("T11", lambda f: not f.irreducible,
+          lambda f, r: f"matrix reducible with {len(f.frobenius.block_sizes)} diagonal blocks,"
+          f" {r['rho_multiplicity']} attaining the spectral radius",
+          _t11_claims, ("compound_irreducible", "rho_multiplicity")),
+    _Leaf("T9.1", lambda f: f.compound_irreducible and f.transitive_w is not None,
+          lambda f, r: f"{_BOTH_IRREDUCIBLE} a transitive candidate W set exists",
+          _t91_claims, ("compound_irreducible", "exists_transitive", "h", "h_compound")),
+    _Leaf("T9.2", lambda f: f.compound_irreducible,
+          lambda f, r: f"{_BOTH_IRREDUCIBLE} no transitive candidate W set",
+          _t92_claims, ("compound_irreducible", "exists_transitive", "h", "h_compound")),
+    _Leaf("T10", lambda f: float(np.trace(f.matrix)) > 0.0,
+          lambda f, r: "matrix irreducible and sign-symmetric with sign-symmetric compound"
+          " and positive trace",
+          _t10_claims, ("compound_irreducible", "h")),
+    _Leaf("T8.1", lambda f: f.transitive_w is not None,
+          lambda f, r: f"{_COMPOUND_REDUCIBLE} a transitive candidate W set exists",
+          _primitive_claims, ("compound_irreducible", "exists_transitive", "h")),
+    _Leaf("T8.2", lambda f: True,
+          lambda f, r: f"{_COMPOUND_REDUCIBLE} no transitive candidate W set",
+          _t82_claims, ("compound_irreducible", "exists_transitive", "h")),
+)
 
 
 def counterexample_bundle(a, classification: Classification) -> dict:

@@ -9,7 +9,9 @@ from boolean matrix powers.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 
@@ -69,6 +71,22 @@ STABLE_ODD_CELLS = [
     (5, 5), (7, 7), (9, 9), (11, 11),
     (4, 3), (6, 5), (8, 7), (10, 9), (12, 11),
 ]
+
+
+def readme_leaf_table() -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """The rows of the README's leaf table, in order: the label, and the
+    backticked names of the claims and of the reported routing facts."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = []
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and re.fullmatch(r"`(NONE|T[\d.]+)`", cells[0]):
+            rows.append((
+                cells[0].strip("`"),
+                tuple(re.findall(r"`(\w+)`", cells[2])),
+                tuple(re.findall(r"`(\w+)`", cells[3])),
+            ))
+    return rows
 
 
 def cycle_matrix(n: int) -> np.ndarray:

@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -718,6 +720,29 @@ class TestGen:
         data = json.loads(out)
         assert data["n"] == 3
         assert data["rows"][2] == [1, 3, 6]
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"kind": "nonneg_irreducible", "n": 1000000}',
+         "matrix dimension 1000000 exceeds the supported maximum 3000"),
+        ('{"kind": "cyclic_h", "n": 3001, "h": 3}',
+         "matrix dimension 3001 exceeds the supported maximum 3000"),
+        ('{"kind": "tp2", "n": 600}',
+         "second compound: base dimension 600 exceeds 180;"
+         " the dense minor grid would need C(600,2)^2 entries"),
+    ], ids=["nonneg_irreducible", "cyclic_h", "tp2"])
+    def test_oversized_spec_fails_before_allocating(self, run, spec, message):
+        assert run("gen", '{"kind": "tp2", "n": 3}')[0] == 0  # loads gen's imports
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = run("gen", spec)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", f"error: {message}\n")
+        assert seconds < 0.1
+        assert peak < 1_000_000
 
     def test_json_out_path_round_trips_through_classify(self, run, tmp_path):
         spec = '{"kind": "cyclic_h", "n": 6, "h": 3, "seed": 4}'

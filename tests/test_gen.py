@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,17 @@ class TestReducibleBlocks:
             reducible_blocks([])
         with pytest.raises(ValueError):
             reducible_blocks([np.eye(2)], rho_targets=[-1.0])
+
+    def test_rejects_a_total_above_the_limit_before_assembling(self):
+        blocks = [np.zeros((1500, 1500)), np.zeros((1500, 1500)), np.zeros((1, 1))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^matrix dimension 3001 exceeds"):
+                reducible_blocks(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000  # the 3001 x 3001 matrix would take 72 MB
 
 
 class TestGenSpec:

@@ -2,7 +2,8 @@
 table imports from its module, every function the package exports from a
 tabled module is named in that module's row, every lazy export of the
 package is the object its module lists in `__all__`, and the README's
-generator-spec table lists the kinds and fields of `gen`'s table."""
+generator-spec table lists the kinds and fields of `gen`'s table, and the
+README's leaf table lists the rows of `classify`'s table."""
 
 import importlib
 import inspect
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import signspectra
 from signspectra import gen
+from signspectra.spectral import _LEAVES
+
+from helpers import readme_leaf_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,3 +70,8 @@ def test_readme_spec_table_matches_gen():
         if len(cells) == 2 and re.fullmatch(r"`\w+`", cells[0]):
             rows[cells[0].strip("`")] = tuple(re.findall(r"`(\w+)`", cells[1]))
     assert rows == {kind: fields for kind, (_, fields) in gen._KINDS.items()}
+
+
+def test_readme_leaf_table_matches_classify():
+    rows = [(label, reports) for label, _, reports in readme_leaf_table()]
+    assert rows == [(leaf.label, leaf.reports) for leaf in _LEAVES]

@@ -452,6 +452,13 @@ class TestClassifyRouting:
             "peripheral_groups_match_roots",
         ]
 
+    @pytest.mark.parametrize("a", [[[2.0]], np.ones((2, 2)), [[1, -1, -1], [-1, 1, 0], [-1, 1, 1]]])
+    def test_t10_never_searches_for_a_transitive_w(self, monkeypatch, a):
+        # The T10 routes precede every route that reads the transitive-W fact.
+        calls = count_calls(monkeypatch, "find_transitive_w")
+        assert classify(a).theorem == "T10"
+        assert calls == {"find_transitive_w": 0}
+
     def test_t11_subdominant_blocks_excluded(self):
         a = reducible_blocks(
             [cycle_matrix(3), cycle_matrix(5)], rho_targets=[1.0, 0.5]
