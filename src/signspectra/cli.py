@@ -368,7 +368,7 @@ def cmd_analyze(args) -> int:
                 for cand in enum.candidates[:64]
             ]
             w_section = {
-                "exists_transitive": enum.exists_transitive,
+                "exists_transitive": facts.exists_transitive,
                 "j_count": enum.j_count,
                 "jt_count": enum.jt_count,
                 "unique_w_sets": len(enum.candidates),

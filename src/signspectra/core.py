@@ -103,11 +103,14 @@ def pair_unindex(alpha: int, n: int) -> tuple[int, int]:
 
 
 class _BuiltOnAccess(Sequence):
-    """Read-only sequence whose item k is `build(k)`, made the first time it
-    is read and returned as the same object on every later read.  Supports
-    `len`, int and negative indexing, slices (as tuples) and iteration."""
+    """Read-only sequence whose items are made the first time they are read
+    and returned as the same objects on every later read.  `build` maps a
+    list of distinct indices to the list of their items, so one slice, one
+    `take` or one iteration makes all the items it reads in one call.
+    Supports `len`, int and negative indexing, slices (as tuples) and
+    iteration."""
 
-    def __init__(self, length: int, build: Callable[[int], object]) -> None:
+    def __init__(self, length: int, build: Callable[[list[int]], list]) -> None:
         self._items: list = [None] * length
         self._build = build
 
@@ -119,23 +122,20 @@ class _BuiltOnAccess(Sequence):
             return tuple(self.take(range(len(self._items))[k]))
         item = self._items[k]
         if item is None:
-            k = range(len(self._items))[k]
-            item = self._items[k] = self._build(k)
+            item = self.take([range(len(self._items))[k]])[0]
         return item
 
     def __iter__(self):
-        items = self._items
-        for k in range(len(items)):
-            if items[k] is None:
-                items[k] = self._build(k)
-            yield items[k]
+        return iter(self.take(range(len(self._items))))
 
     def take(self, indices) -> list:
-        """The items at the given non-negative indices, as a list."""
+        """The items at the given non-negative indices, as a list; the ones
+        not made yet are made by one `build` call."""
         items = self._items
-        for k in indices:
-            if items[k] is None:
-                items[k] = self._build(k)
+        missing = [k for k in dict.fromkeys(indices) if items[k] is None]
+        if missing:
+            for k, item in zip(missing, self._build(missing)):
+                items[k] = item
         return [items[k] for k in indices]
 
 

@@ -137,11 +137,12 @@ class FrobeniusForm:
         return m[np.ix_(order0, order0)]
 
 
-def frobenius_form(a) -> FrobeniusForm:
+def frobenius_form(a, *, arcs=None) -> FrobeniusForm:
     """Strongly connected components of the digraph, ordered so that every
-    arc of the condensation points from a later block to an earlier one."""
+    arc of the condensation points from a later block to an earlier one.
+    `arcs`, when the caller holds it, is `np.nonzero(a)`."""
     m = as_matrix(a)
-    rows, cols = np.nonzero(m)
+    rows, cols = np.nonzero(m) if arcs is None else arcs
     label = _strong_components(*_adjacency(rows, cols, m.shape[0]))
     n_comp = max(label) + 1
     members: list[list[int]] = [[] for _ in range(n_comp)]
@@ -196,8 +197,9 @@ class ImprimitivityIndex:
     cyclic_classes: tuple[tuple[int, ...], ...]
 
 
-def _pattern_index(m: np.ndarray) -> ImprimitivityIndex | None:
-    """The imprimitivity index of the pattern of `m`, None when it is reducible.
+def _pattern_index(m: np.ndarray, arcs=None) -> ImprimitivityIndex | None:
+    """The imprimitivity index of the pattern of `m`, None when it is
+    reducible; `arcs`, when the caller holds it, is `np.nonzero(m)`.
 
     One forward search from node 0 gives the levels and one backward search
     checks that every node reaches node 0; h is the gcd over arcs u -> v of
@@ -206,7 +208,7 @@ def _pattern_index(m: np.ndarray) -> ImprimitivityIndex | None:
     n = m.shape[0]
     if n == 1:
         return ImprimitivityIndex(1, ((1,),))
-    rows, cols = np.nonzero(m)
+    rows, cols = np.nonzero(m) if arcs is None else arcs
     level = _bfs_levels(*_adjacency(rows, cols, n))
     if -1 in level:
         return None

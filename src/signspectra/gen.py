@@ -306,4 +306,15 @@ def generate(spec: GenSpec) -> np.ndarray:
 
 def _materialize(spec: GenSpec) -> np.ndarray:
     generator, fields = _kind(spec.kind)
+    if spec.kind == "reducible_blocks":  # the total, before any block is built
+        _check_dimension(_size(spec))
     return generator(**{k: _nested(getattr(spec, k), _materialize) for k in fields})
+
+
+def _size(spec: GenSpec) -> int:
+    """The dimension of the matrix a spec describes, read from the spec tree."""
+    if spec.kind == "reducible_blocks":
+        return sum(_size(b) for b in spec.blocks)
+    if spec.kind == "scrambled" and spec.base is not None:
+        return _size(spec.base)
+    return spec.n

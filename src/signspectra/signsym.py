@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BuiltOnAccess, as_matrix
+from .core import as_matrix
 
 __all__ = [
     "DEFAULT_CERTIFICATE_CAP",
@@ -104,34 +104,35 @@ class SignConstraintGraph:
             comp[np.asarray(members) - 1] = k
         return comp
 
-    def flip_rows(self) -> np.ndarray:
-        """All 2^c valid J sets of a consistent graph as a boolean
-        (2^c, n) array: row r is the coloring with every component k whose
-        bit k is set in r flipped, so the rows run in binary-counter order
-        (component of smallest index as the lowest bit)."""
+    def flip_rows(self, flips=None) -> np.ndarray:
+        """Valid J sets of a consistent graph as a boolean (len(flips), n)
+        array: row r is the coloring with every component k whose bit k is
+        set in flips[r] flipped (component of smallest index as the lowest
+        bit).  By default `flips` counts through all 2^c of them."""
         self.require_consistent()
         c = len(self.components)
-        flips = ((np.arange(2**c)[:, None] >> np.arange(c)) & 1).astype(bool)
-        return np.asarray(self.coloring, dtype=bool) ^ flips[:, self.component_index()]
+        flips = np.arange(2**c) if flips is None else np.asarray(flips)
+        bits = (flips[:, None] >> self.component_index()) & 1
+        return np.asarray(self.coloring, dtype=bool) ^ bits.astype(bool)
 
     def j_sets(self) -> list[frozenset[int]]:
         """All 2^c valid J sets, canonical J first, in the order of
         `flip_rows`; NotSignSymmetricError for an inconsistent graph."""
-        return list(_row_sets(self.flip_rows()))
+        return _row_sets(self.flip_rows())
 
 
-def _row_sets(rows: np.ndarray) -> _BuiltOnAccess:
+def _row_sets(rows: np.ndarray) -> list[frozenset[int]]:
     """The 1-based column sets of the True entries of each row of a boolean
-    2-D array, from one `np.nonzero` over all rows; each set is made when it
-    is first read."""
+    2-D array, from one `np.nonzero` over all rows."""
     r, c = np.nonzero(rows)
     ends = np.cumsum(np.bincount(r, minlength=len(rows))).tolist()
-    starts = [0] + ends
-    return _BuiltOnAccess(len(rows), lambda k: frozenset((c[starts[k]:ends[k]] + 1).tolist()))
+    c = (c + 1).tolist()
+    return [frozenset(c[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def sign_constraint_graph(a) -> SignConstraintGraph:
-    """Build and 2-color the side-constraint graph of a matrix."""
+def sign_constraint_graph(a, *, arcs=None) -> SignConstraintGraph:
+    """Build and 2-color the side-constraint graph of a matrix.  `arcs`,
+    when the caller holds it, is `np.nonzero(a)`."""
     m = as_matrix(a)
     n = m.shape[0]
 
@@ -141,7 +142,7 @@ def sign_constraint_graph(a) -> SignConstraintGraph:
         return SignConstraintGraph(n, False, (), None, (i,))
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(m)
+    rows, cols = np.nonzero(m) if arcs is None else arcs
     off = rows != cols
     rows, cols = rows[off], cols[off]
     for u, v, parity in zip(rows.tolist(), cols.tolist(), (m[rows, cols] < 0).tolist()):

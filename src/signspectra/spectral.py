@@ -400,6 +400,8 @@ class Facts:
     ValueError("second compound: ..."): `compound2` checks its minors and
     n <= MAX_COMPOUND_BASE, and the stages that read C2 as a graph check,
     from n and before C2 is built, that C(n,2) <= core.MAX_DIMENSION.
+    The arcs of A, and those of C2, are listed once, by one `np.nonzero`
+    each, for the sign graph, the pattern index and the Frobenius form.
     """
 
     def __init__(self, a) -> None:
@@ -411,8 +413,16 @@ class Facts:
         return eigenvalues(self.matrix)
 
     @cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.matrix)
+
+    @cached_property
+    def _compound_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self._compound_as_graph())
+
+    @cached_property
     def graph_a(self) -> SignConstraintGraph:
-        return sign_constraint_graph(self.matrix)
+        return sign_constraint_graph(self.matrix, arcs=self._arcs)
 
     @cached_property
     def compound(self) -> np.ndarray | None:
@@ -426,11 +436,11 @@ class Facts:
     @cached_property
     def graph_c(self) -> SignConstraintGraph | None:
         c2 = self._compound_as_graph()
-        return None if c2 is None else sign_constraint_graph(c2)
+        return None if c2 is None else sign_constraint_graph(c2, arcs=self._compound_arcs)
 
     @cached_property
     def imprimitivity(self) -> ImprimitivityIndex | None:
-        return _pattern_index(self.matrix)
+        return _pattern_index(self.matrix, self._arcs)
 
     @cached_property
     def compound_imprimitivity(self) -> ImprimitivityIndex | None:
@@ -439,7 +449,7 @@ class Facts:
         # so that 2x2 rank-one matrices route by trace instead of through T9.
         if c2 is None or (c2.shape[0] == 1 and c2[0, 0] == 0.0):
             return None
-        return _pattern_index(c2)
+        return _pattern_index(c2, self._compound_arcs)
 
     @property
     def irreducible(self) -> bool:
@@ -454,12 +464,17 @@ class Facts:
         """`find_transitive_w` of the two sign graphs."""
         return find_transitive_w(self.graph_a, self.graph_c)
 
+    @property
+    def exists_transitive(self) -> bool:
+        """Some candidate W set is transitive: n = 1 has one W set, which is."""
+        return self.n == 1 or self.transitive_w is not None
+
     @cached_property
     def frobenius(self) -> FrobeniusForm:
         """`frobenius_form`; an irreducible matrix is its own single block,
         whose radius `frobenius_form` would take from the same `eigvals`."""
         if not self.irreducible:
-            return frobenius_form(self.matrix)
+            return frobenius_form(self.matrix, arcs=self._arcs)
         n, rho = self.n, self.spectrum.rho
         return FrobeniusForm(
             Permutation.identity(n), (n,), (tuple(range(1, n + 1)),),
@@ -528,7 +543,7 @@ def _attaining(facts: Facts, tol: _Tolerances) -> list[int]:
 # having a transitive W set.
 _ROUTING_FACTS = {
     "compound_irreducible": lambda f, tol: f.compound_irreducible,
-    "exists_transitive": lambda f, tol: f.n == 1 or f.transitive_w is not None,
+    "exists_transitive": lambda f, tol: f.exists_transitive,
     "h": lambda f, tol: f.imprimitivity.h,
     "h_compound": lambda f, tol: f.compound_imprimitivity.h,
     "rho_multiplicity": lambda f, tol: len(_attaining(f, tol)),

@@ -7,20 +7,23 @@ fixes an orientation for every unordered index pair and thereby a basis
 ordering for minor-based matrices.  A transitive W set is exactly a total
 order on {1..n}.
 
-`find_transitive_w` decides whether the candidate construction yields a
-transitive W set without listing the candidates; `enumerate_w_candidates`
-lists them, as one packed row of C(n,2) orientation bits per (J, Jt)
-combination, groups equal rows in order of first occurrence, and checks the
-distinct W sets for transitivity in one batched pass.  Its `candidates` are
-a sequence built on access: each `WCandidate`, and each J or Jt set in its
-generating pairs, is made the first time it is read, so `analyze`, which
-prints the first 64, builds only those.
+The orientation of every pair is an affine GF(2) function of the flips of
+the sign components of the matrix and of its compound (`_orientation`).
+`find_transitive_w` decides from it whether the candidate construction
+yields a transitive W set without listing the candidates.
+`enumerate_w_candidates` lists them: the distinct W sets are the cosets of
+the kernel of that map, so their number, the first (J, Jt) combination of
+each and the combinations that generate it follow from one echelon basis
+with no W set built.  Its `candidates` are a sequence built on access: the
+W sets that are read, and the J and Jt sets of their generating pairs, are
+made and checked in one batch the first time they are read, so `analyze`,
+which prints the first 64, builds only those.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -70,20 +73,18 @@ class WSet:
         m.setflags(write=False)
 
     @classmethod
-    def _from_stack(cls, members: np.ndarray) -> Sequence[WSet]:
+    def _from_stack(cls, members: np.ndarray) -> list[WSet]:
         """One W set per grid of a boolean (G, n, n) stack, validated by one
-        batched test instead of one test per set; each set is made when it
-        is first read."""
+        batched test instead of one test per set."""
         _check_members(members)
         members.setflags(write=False)
-
-        def build(g: int) -> WSet:
+        sets = []
+        for grid in members:
             w = object.__new__(cls)
             object.__setattr__(w, "n", members.shape[1])
-            object.__setattr__(w, "member", members[g])
-            return w
-
-        return _BuiltOnAccess(len(members), build)
+            object.__setattr__(w, "member", grid)
+            sets.append(w)
+        return sets
 
     def contains(self, i: int, j: int) -> bool:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -224,20 +225,29 @@ class WCandidate:
 @dataclass(frozen=True)
 class WCandidateEnumeration:
     """The distinct W sets of the candidate construction, in order of first
-    occurrence among the (J, Jt) combinations, J-major.
+    occurrence among the (J, Jt) combinations, J-major, built from the sign
+    graphs `graph_a` and `graph_c` of a matrix and of its compound (None
+    for n = 1).
 
     `candidates` is a read-only sequence (`len`, indexing, slices,
-    iteration).  From `w_candidates_from_graphs` it is built on access: a
-    `WCandidate`, with the J and Jt sets of its generating pairs, is made the
-    first time it is read and the same object is returned afterwards.  A
-    plain tuple is accepted too.  `exists_transitive` and the counts come
-    from the batched check and need no candidate to be built.
+    iteration) built on access: a `WCandidate`, with the J and Jt sets of
+    its generating pairs, is made the first time it is read and the same
+    object is returned afterwards; one slice or one iteration builds and
+    checks the W sets it reads as one batch.  `exists_transitive` is
+    decided by `find_transitive_w` when it is first read, and needs no
+    candidate to be built.
     """
 
     candidates: Sequence[WCandidate]
-    exists_transitive: bool
     j_count: int
     jt_count: int
+    graph_a: SignConstraintGraph = field(repr=False)
+    graph_c: SignConstraintGraph | None = field(repr=False)
+
+    @cached_property
+    def exists_transitive(self) -> bool:
+        """Whether some candidate is transitive: for n = 1 the one W set is."""
+        return self.graph_c is None or find_transitive_w(self.graph_a, self.graph_c) is not None
 
 
 def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnumeration:
@@ -268,79 +278,113 @@ def _require_consistent(graph_a: SignConstraintGraph, graph_c: SignConstraintGra
         raise NotSignSymmetricError(message, cycle)
 
 
+def _orientation(
+    graph_a: SignConstraintGraph, graph_c: SignConstraintGraph | None
+) -> tuple[list[int], np.ndarray]:
+    """The orientation of every pair as an affine GF(2) function of the
+    component flips, as one mask and one constant per pair.
+
+    A (J, Jt) combination x holds one flip bit per sign component: bit k
+    flips component k of the compound's graph and bit c~ + k component k of
+    the matrix's, for c~ compound components, so x = (J row) * 2^c~ + (Jt
+    row) for the rows of `flip_rows` and the combinations count up J-major.
+    `build_w_hat` keeps pair p = (i, j), i < j, in its natural orientation
+    exactly when s_i ^ s_j ^ t_p is 1 for the flip rows s of J and t of Jt,
+    that is when const[p] ^ parity(masks[p] & x) is 1.
+    """
+    n = graph_a.n
+    size_c = 0 if graph_c is None else graph_c.n
+    if size_c != pair_count(n):
+        raise ValueError(
+            "need the graphs of an n x n matrix and of its C(n,2) x C(n,2)"
+            f" compound (None for n = 1); got sizes {n} and {size_c}"
+        )
+    i, j = _pair_table(n)
+    cc = 0 if graph_c is None else len(graph_c.components)
+    comp_a = graph_a.component_index() + cc
+    colour_a = np.asarray(graph_a.coloring, dtype=np.int8)
+    comp_c = graph_c.component_index() if graph_c else np.zeros(0, dtype=np.int64)
+    colour_c = np.asarray(graph_c.coloring if graph_c else (), dtype=np.int8)
+    masks = [
+        (1 << a) ^ (1 << b) ^ (1 << g)
+        for a, b, g in zip(comp_a[i].tolist(), comp_a[j].tolist(), comp_c.tolist())
+    ]
+    return masks, colour_a[i] ^ colour_a[j] ^ colour_c
+
+
 def w_candidates_from_graphs(
     graph_a: SignConstraintGraph,
     graph_c: SignConstraintGraph | None,
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> WCandidateEnumeration:
     """`enumerate_w_candidates` from the sign-constraint graphs of an n x n
-    matrix and of its second compound (None for n = 1)."""
+    matrix and of its second compound (None for n = 1).
+
+    Two combinations give the same W set exactly when they differ by an
+    element of the kernel K of the orientation map (`_orientation`), so the
+    distinct W sets are the cosets of K.  Reducing the pair masks with their
+    lowest bits as pivots makes the kernel vector of each free bit b equal
+    to b plus pivots below it, a basis in echelon form by highest bit.  The
+    least element of a coset is then its only element with no free bit set:
+    candidate g first occurs at the g-th integer made of pivot bits alone,
+    and its combinations are that integer XOR the span of K, which counts up
+    as the basis subsets do.
+    """
     _check_cap(cap)
-    n = graph_a.n
     _require_consistent(graph_a, graph_c)
-    components = len(graph_a.components)
-    if graph_c is not None:
-        components += len(graph_c.components)
-    total = 2**components
-    if total > cap:
+    masks, _ = _orientation(graph_a, graph_c)
+    ca = len(graph_a.components)
+    cc = 0 if graph_c is None else len(graph_c.components)
+    if 2 ** (ca + cc) > cap:
         raise TooManyCertificatesError(
-            f"{total} candidate (J, Jt) combinations exceed the cap {cap}"
+            f"{2 ** (ca + cc)} candidate (J, Jt) combinations exceed the cap {cap}"
         )
-    # Pair p = (i, j) keeps its natural orientation exactly when
-    # (S[a, i] == S[a, j]) == T[b, p] for the flip rows S of J and T of Jt,
-    # so each (J, Jt) combination, J-major, is one packed row of "reversed"
-    # bits (S[a, i] == S[a, j]) ^ T[b, p].  n = 1 has no pairs, so its rows
-    # have width 0, and one trivial pair-level certificate.
-    s = graph_a.flip_rows()
-    t = graph_c.flip_rows() if graph_c else np.zeros((1, 0), dtype=bool)
+    image = _ParitySystem()
+    for mask in set(masks):
+        image.add(mask, 0)
+    pivots = np.array(sorted(image.rows), dtype=np.int64)
+    span = np.zeros(1, dtype=np.int64)
+    for bit in (1 << b for b in range(ca + cc)):
+        if not bit & image.pivots:
+            vector = bit | sum(p for p, (row, _) in image.rows.items() if row & bit)
+            span = np.concatenate([span, span ^ vector])
+
+    n = graph_a.n
     i, j = _pair_table(n)
-    keys = np.packbits(s[:, i] == s[:, j], axis=1)[:, None] ^ np.packbits(t, axis=1)
-    keys = keys.reshape(len(s) * len(t), keys.shape[2])
-    first, group = _group_rows(keys)
-    keep = np.unpackbits(keys[first], axis=1, count=i.size) == 0
-    members = np.repeat(np.eye(n, dtype=bool)[None], len(first), axis=0)
-    members[:, i, j], members[:, j, i] = keep, ~keep
-    w_sets = WSet._from_stack(members)
-    checks = _check_transitivity(members)
-
-    # The combinations of group g, in increasing order, are
-    # combos[starts[g]:ends[g]]; combination k pairs J row k // |T| with Jt
-    # row k % |T|.  The J and Jt sets are made from their flip rows on
-    # first use.
-    combos = np.argsort(group, kind="stable")
-    rows_a, rows_c = (combos // len(t)).tolist(), (combos % len(t)).tolist()
-    ends = np.cumsum(np.bincount(group)).tolist()
-    starts = [0] + ends
-    j_sets, jt_sets = _row_sets(s), _row_sets(t)
-
-    def candidate(g: int) -> WCandidate:
-        lo, hi = starts[g], ends[g]
-        pairs = tuple(zip(j_sets.take(rows_a[lo:hi]), jt_sets.take(rows_c[lo:hi])))
-        c = _check_at(checks, g)
-        return WCandidate(w_sets[g], c.transitive, c.witness, c.order, pairs)
-
-    return WCandidateEnumeration(
-        _BuiltOnAccess(len(first), candidate), bool(checks[0].any()), len(s), len(t)
+    low = (1 << cc) - 1
+    j_sets = _BuiltOnAccess(2**ca, lambda rows: _row_sets(graph_a.flip_rows(rows)))
+    jt_sets = _BuiltOnAccess(
+        2**cc, lambda rows: _row_sets(graph_c.flip_rows(rows)) if graph_c else [frozenset()]
     )
+
+    def build(gs: list[int]) -> list[WCandidate]:
+        # The first combination of each candidate, its W set from the flip
+        # rows of that combination's J and Jt, and all its combinations.
+        first = ((np.array(gs)[:, None] >> np.arange(pivots.size)) & 1) @ pivots
+        s = graph_a.flip_rows(first >> cc)
+        t = graph_c.flip_rows(first & low) if graph_c else np.zeros((len(gs), 0), dtype=bool)
+        keep = (s[:, i] == s[:, j]) == t
+        members = np.repeat(np.eye(n, dtype=bool)[None], len(gs), axis=0)
+        members[:, i, j], members[:, j, i] = keep, ~keep
+        w_sets = WSet._from_stack(members)
+        checks = _check_transitivity(members)
+        combos = first[:, None] ^ span
+        pairs = list(zip(j_sets.take((combos >> cc).ravel().tolist()),
+                         jt_sets.take((combos & low).ravel().tolist())))
+        out = []
+        for k, w in enumerate(w_sets):
+            c = _check_at(checks, k)
+            own = tuple(pairs[k * span.size:(k + 1) * span.size])
+            out.append(WCandidate(w, c.transitive, c.witness, c.order, own))
+        return out
+
+    candidates = _BuiltOnAccess(2**pivots.size, build)
+    return WCandidateEnumeration(candidates, 2**ca, 2**cc, graph_a, graph_c)
 
 
 def _check_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-
-
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of a 2-D uint8 array by first occurrence: the
-    increasing indices of each group's first row, and each row's group
-    number.  Rows of width 0 (n = 1) form one group."""
-    if not keys.shape[1]:
-        return np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(first)
-    rank[order] = np.arange(first.size)
-    return first[order], rank[inverse.ravel()]
 
 
 def find_transitive_w(
@@ -368,25 +412,14 @@ def find_transitive_w(
     """
     _require_consistent(graph_a, graph_c)
     n = graph_a.n
-    if n < 2 or graph_c.n != pair_count(n):
-        raise ValueError(
-            "need the graphs of an n x n matrix, n >= 2, and of its"
-            f" C(n,2) x C(n,2) compound; got sizes {graph_a.n} and {graph_c.n}"
-        )
-    comp_a, comp_c = graph_a.component_index(), graph_c.component_index()
-    colour_a = np.asarray(graph_a.coloring, dtype=np.int8)
-    colour_c = np.asarray(graph_c.coloring, dtype=np.int8)
-    ca = len(graph_a.components)
-
-    # Variable k is f_k and variable ca + k is g_k.  A literal is an
-    # expression id, indexing `masks`, and a constant; each pair p = (i, j)
-    # starts with its own expression f_comp(i) ^ f_comp(j) ^ g_comp(p).
-    i, j = _pair_table(n)
-    masks = [
-        (1 << a) ^ (1 << b) ^ (1 << (ca + g))
-        for a, b, g in zip(comp_a[i].tolist(), comp_a[j].tolist(), comp_c.tolist())
-    ]
-    const = colour_a[i] ^ colour_a[j] ^ colour_c
+    if n < 2:
+        raise ValueError("need the graphs of an n x n matrix, n >= 2, and of its compound")
+    # The variables are the flip bits of a combination (`_orientation`).  A
+    # literal is an expression id, indexing `masks`, and a constant; each
+    # pair p = (i, j) starts with its own expression f_comp(i) ^ f_comp(j)
+    # ^ g_comp(p).
+    masks, const = _orientation(graph_a, graph_c)
+    cc = len(graph_c.components)
     lits = _triangle_sides(n)
     consts = const[lits]
     consts[:, 2] ^= 1
@@ -394,8 +427,8 @@ def find_transitive_w(
     # Complementing J leaves W unchanged and complementing Jt reverses it,
     # so some transitive W set, if any exists, has f_0 = g_0 = 0.
     parity = _ParitySystem()
+    parity.add(1 << cc, 0)
     parity.add(1, 0)
-    parity.add(1 << ca, 0)
     while True:
         reduced = [parity.reduce(mask) for mask in masks]
         ids: dict[int, int] = {}
@@ -421,9 +454,8 @@ def find_transitive_w(
     for pivot, (row, rhs) in parity.rows.items():
         if (rhs ^ ((row ^ pivot) & values).bit_count()) & 1:
             values |= pivot
-    flip = np.array([(values >> k) & 1 for k in range(ca + len(graph_c.components))])
-    j_set = frozenset((np.nonzero(colour_a ^ flip[comp_a])[0] + 1).tolist())
-    jt_set = frozenset((np.nonzero(colour_c ^ flip[ca + comp_c])[0] + 1).tolist())
+    [j_set] = _row_sets(graph_a.flip_rows([values >> cc]))
+    [jt_set] = _row_sets(graph_c.flip_rows([values & ((1 << cc) - 1)]))
     if not is_transitive(build_w_hat(j_set, jt_set, n)).transitive:
         raise AssertionError("constraint solution did not build a transitive W set")
     return j_set, jt_set
@@ -475,9 +507,14 @@ def _fold_triangles(lits: np.ndarray, consts: np.ndarray):
     b = lits[rows, odd]
     rhs = consts[rows, twin] ^ consts[rows, odd] ^ 1
     # Deduplicate the rows (min, max, rhs) packed into one integer each,
-    # unpacking with the same base.
+    # unpacking with the same base.  A sort and a neighbour test, as
+    # `np.unique` would, without its probe for masked arrays, which imports
+    # numpy.ma in numpy 2.4.
     base = int(lits.max()) + 1 if lits.size else 1
-    codes = np.unique((np.minimum(a, b) * base + np.maximum(a, b)) * 2 + rhs)
+    codes = np.sort((np.minimum(a, b) * base + np.maximum(a, b)) * 2 + rhs)
+    fresh = np.ones(codes.size, dtype=bool)
+    fresh[1:] = codes[1:] != codes[:-1]
+    codes = codes[fresh]
     equations = np.column_stack([(codes >> 1) // base, (codes >> 1) % base, codes & 1])
     rest = ~(same[0] | same[1] | same[2])
     return lits[rest], consts[rest], equations

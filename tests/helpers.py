@@ -12,6 +12,7 @@ import heapq
 import re
 from collections import Counter, deque
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -417,16 +418,21 @@ def reference_j_sets(graph) -> list[frozenset[int]]:
     return out
 
 
-def reference_w_candidates(graph_a, graph_c, cap: int):
+class ReferenceListing(NamedTuple):
+    """The fields of a `WCandidateEnumeration`, every one computed up front."""
+
+    candidates: tuple
+    exists_transitive: bool
+    j_count: int
+    jt_count: int
+
+
+def reference_w_candidates(graph_a, graph_c, cap: int) -> ReferenceListing:
     """The W listing built one (J, Jt) combination at a time with
-    `build_w_hat`, grouped by orientation in order of first occurrence."""
+    `build_w_hat`, grouped by orientation in order of first occurrence, and
+    whether any of its W sets is transitive, from checking each one."""
     from signspectra.signsym import NotSignSymmetricError, TooManyCertificatesError
-    from signspectra.wsets import (
-        WCandidate,
-        WCandidateEnumeration,
-        build_w_hat,
-        is_transitive,
-    )
+    from signspectra.wsets import WCandidate, build_w_hat, is_transitive
 
     graph_a.require_consistent()
     components = len(graph_a.components)
@@ -458,7 +464,7 @@ def reference_w_candidates(graph_a, graph_c, cap: int):
             WCandidate(reps[key], check.transitive, check.witness, check.order, tuple(pairs))
         )
     exists = any(c.transitive for c in candidates)
-    return WCandidateEnumeration(tuple(candidates), exists, len(j_sets), len(jt_sets))
+    return ReferenceListing(tuple(candidates), exists, len(j_sets), len(jt_sets))
 
 
 def reference_sign_constraint_graph(a):

@@ -519,7 +519,7 @@ class TestAnalyzeSharesFacts:
 
 
 # Gzipped `wsets` stdout for these inputs, recorded with the one-combination-
-# at-a-time listing that the packed listing must reproduce byte for byte.  It
+# at-a-time listing that the coset listing must reproduce byte for byte.  It
 # holds only integers and booleans, so it does not depend on the BLAS build.
 WSETS_GOLDEN = {
     "t11-blocks": ANALYZE_INPUTS["t11-blocks"],
@@ -595,6 +595,20 @@ class TestWsetsListing:
         section = json.loads(out)["w_candidates"]
         assert (section["unique_w_sets"], len(section["candidates"])) == (512, 64)
         assert len(built) == 64
+
+    def test_analyze_builds_and_checks_only_the_listed_w_grids(self, run, tmp_path, monkeypatch):
+        # The 5-, 7- and 9-cycle as diagonal blocks: 2^15 (J, Jt)
+        # combinations and 4,096 distinct W sets, counted without building
+        # any.  The 64 that `analyze` prints are built and checked as one
+        # stack.
+        a = reducible_blocks([cycle_matrix(5), cycle_matrix(7), cycle_matrix(9)])
+        grids = count_calls_by_dimension(monkeypatch, "_check_members", "_check_transitivity")
+        code, out, _ = run("analyze", write_csv(tmp_path, a))
+        assert code == 0
+        section = json.loads(out)["w_candidates"]
+        assert section["j_count"] * section["jt_count"] == 2**15
+        assert (section["unique_w_sets"], len(section["candidates"])) == (4096, 64)
+        assert grids == {"_check_members": {64: 1}, "_check_transitivity": {64: 1}}
 
 
 _TRICKY_TEXT = st.lists(
@@ -729,7 +743,10 @@ class TestGen:
         ('{"kind": "tp2", "n": 600}',
          "second compound: base dimension 600 exceeds 180;"
          " the dense minor grid would need C(600,2)^2 entries"),
-    ], ids=["nonneg_irreducible", "cyclic_h", "tp2"])
+        ('{"kind": "reducible_blocks", "blocks": [{"kind": "nonneg_irreducible", "n": 3000},'
+         ' {"kind": "scrambled", "base": {"kind": "nonneg_irreducible", "n": 1}}]}',
+         "matrix dimension 3001 exceeds the supported maximum 3000"),
+    ], ids=["nonneg_irreducible", "cyclic_h", "tp2", "reducible_blocks"])
     def test_oversized_spec_fails_before_allocating(self, run, spec, message):
         assert run("gen", '{"kind": "tp2", "n": 3}')[0] == 0  # loads gen's imports
         tracemalloc.start()
@@ -1060,20 +1077,22 @@ class TestErrorsAndEnvironment:
         )
 
     @staticmethod
-    def scipy_modules_after(*argvs: list[str]) -> list[str]:
-        """The scipy modules a fresh interpreter holds after `main(argv)` for
-        each of `argvs` in turn."""
+    def modules_after(*argvs: list[str], root: str = "scipy") -> list[str]:
+        """The modules named `root` or below it that a fresh interpreter
+        holds after `main(argv)` for each of `argvs` in turn."""
         probe = (
             "import json, sys\n"
             "from signspectra.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+            "root = sys.argv[2]\n"
+            "print(sorted(m for m in sys.modules if (m + '.').startswith(root + '.')),"
+            " file=sys.stderr)\n"
             "sys.exit(max(codes))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         proc = subprocess.run(
-            [sys.executable, "-c", probe, json.dumps(argvs)],
+            [sys.executable, "-c", probe, json.dumps(argvs), root],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": pythonpath, "SIGNSPECTRA_THREADS": "1"},
@@ -1093,7 +1112,7 @@ class TestErrorsAndEnvironment:
             if command == "gen"
             else [command, write_csv(tmp_path, EXAMPLE1)]
         )
-        assert self.scipy_modules_after(argv) == []
+        assert self.modules_after(argv) == []
 
     def test_commands_on_a_reducible_input_import_no_scipy(self, tmp_path):
         # The strong components come from a Tarjan search, and the repeated
@@ -1101,7 +1120,18 @@ class TestErrorsAndEnvironment:
         # assignment port.  One interpreter runs every command.
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
         commands = ["signsym", "classify", "analyze", "wsets", "frobenius"]
-        assert self.scipy_modules_after(*[[command, path] for command in commands]) == []
+        assert self.modules_after(*[[command, path] for command in commands]) == []
+
+    def test_classify_and_analyze_load_no_numpy_ma(self, tmp_path):
+        # `np.unique` probes `np.ma.is_masked` in numpy 2.4, which imports
+        # numpy.ma (about 18 ms and 1 MB).  Neither the transitive-W search
+        # of a T8.2 input nor the W listing of a T11 input takes that path.
+        cycle = write_csv(tmp_path, cycle_matrix(5), "cycle5.csv")
+        blocks = write_csv(
+            tmp_path, reducible_blocks([cycle_matrix(3), cycle_matrix(5)]), "blocks35.csv"
+        )
+        argvs = [["classify", cycle], ["analyze", blocks]]
+        assert self.modules_after(*argvs, root="numpy.ma") == []
 
     def test_verify_corpus_of_an_odd_cycle_imports_only_scipy_linalg(self, tmp_path):
         # The product-law certificate takes a Schur form from scipy.linalg.
@@ -1115,7 +1145,7 @@ class TestErrorsAndEnvironment:
             "rho_targets": [1.0, 1.0],
         }
         manifest.write_text(json.dumps([cycle, blocks]))
-        loaded = self.scipy_modules_after(["verify-corpus", str(manifest)])
+        loaded = self.modules_after(["verify-corpus", str(manifest)])
         assert "scipy.linalg" in loaded
         subpackages = {m.split(".")[1] for m in loaded if "." in m}
         assert {p for p in subpackages if not p.startswith("_")} <= {"linalg", "version"}

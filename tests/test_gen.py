@@ -189,6 +189,23 @@ class TestReducibleBlocks:
             tracemalloc.stop()
         assert peak < 10_000_000  # the 3001 x 3001 matrix would take 72 MB
 
+    def test_spec_total_is_checked_before_any_block_is_generated(self, monkeypatch):
+        # 3,001 one-by-one blocks, the last behind two `scrambled` levels.
+        generated = []
+        original = gen._KINDS["nonneg_irreducible"]
+        monkeypatch.setitem(
+            gen._KINDS, "nonneg_irreducible",
+            ((lambda **kw: generated.append(kw) or original[0](**kw)), original[1]),
+        )
+        one = GenSpec(kind="nonneg_irreducible", n=1)
+        nested = GenSpec(kind="scrambled", base=GenSpec(kind="scrambled", base=one))
+        spec = GenSpec(kind="reducible_blocks", blocks=(one,) * 3000 + (nested,))
+        with pytest.raises(ValueError, match="^matrix dimension 3001 exceeds the supported maximum 3000$"):
+            generate(spec)
+        assert generated == []
+        assert generate(GenSpec(kind="reducible_blocks", blocks=(one, nested))).shape == (2, 2)
+        assert len(generated) == 2
+
 
 class TestGenSpec:
     def test_round_trip_simple_kinds(self):

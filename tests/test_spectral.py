@@ -23,7 +23,13 @@ from signspectra.spectral import (
     peripheral_spectrum,
 )
 
-from helpers import EXAMPLE1, count_calls, cycle_matrix, reference_match_complex_multisets
+from helpers import (
+    EXAMPLE1,
+    count_calls,
+    count_calls_by_dimension,
+    cycle_matrix,
+    reference_match_complex_multisets,
+)
 
 
 class TestEigenvalues:
@@ -458,6 +464,19 @@ class TestClassifyRouting:
         calls = count_calls(monkeypatch, "find_transitive_w")
         assert classify(a).theorem == "T10"
         assert calls == {"find_transitive_w": 0}
+
+    def test_t11_lists_the_arcs_of_a_and_of_its_compound_once(self, monkeypatch):
+        # The sign graph, the pattern index and the Frobenius form of A read
+        # one arc list, and the sign graph and pattern index of C2 another.
+        a = reducible_blocks([cycle_matrix(3), cycle_matrix(5)])
+        shapes = []
+        nonzero = np.nonzero
+        monkeypatch.setattr(np, "nonzero", lambda x: shapes.append(np.shape(x)) or nonzero(x))
+        names = ("frobenius_form", "_pattern_index", "sign_constraint_graph")
+        calls = count_calls_by_dimension(monkeypatch, *names)
+        assert classify(a).theorem == "T11"
+        assert [(calls[name][8], calls[name][28]) for name in names] == [(1, 0), (1, 1), (1, 1)]
+        assert (shapes.count((8, 8)), shapes.count((28, 28))) == (1, 1)
 
     def test_t11_subdominant_blocks_excluded(self):
         a = reducible_blocks(

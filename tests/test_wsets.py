@@ -415,8 +415,10 @@ class TestEnumerateCandidates:
 
 
 def assert_listing_matches_reference(graph_a, graph_c, cap=2**12):
-    """The packed listing equals the per-combination reference field by
-    field and in order, errors included; so does each graph's `j_sets()`."""
+    """The coset listing equals the per-combination reference field by
+    field and in order, errors included, and its `exists_transitive`, from
+    `find_transitive_w`, equals the reference's check of every W set; each
+    graph's `j_sets()` equals the reference's too."""
     try:
         expected = reference_w_candidates(graph_a, graph_c, cap)
     except (NotSignSymmetricError, TooManyCertificatesError) as exc:
@@ -454,7 +456,7 @@ class TestListingMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_any_component_structure(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 8))
         graphs = []
         for size, most in ((n, 4), (pair_count(n), 8)):
             labels = rng.integers(0, int(rng.integers(1, most + 1)), size=size)
@@ -546,10 +548,15 @@ class TestListingBuiltOnAccess:
     def test_random_access_matches_reference(self, a, data):
         graph_a, graph_c = matrix_graphs(a)
         try:
-            expected = reference_w_candidates(graph_a, graph_c, 2**12).candidates
+            reference = reference_w_candidates(graph_a, graph_c, 2**12)
         except (NotSignSymmetricError, TooManyCertificatesError):
             return
-        got = w_candidates_from_graphs(graph_a, graph_c, 2**12).candidates
+        listing = w_candidates_from_graphs(graph_a, graph_c, 2**12)
+        # Decided before any candidate is built.
+        assert (listing.exists_transitive, listing.j_count, listing.jt_count) == (
+            reference.exists_transitive, reference.j_count, reference.jt_count
+        )
+        expected, got = reference.candidates, listing.candidates
         size = len(expected)
         assert len(got) == size
         seen = {}
