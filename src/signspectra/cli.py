@@ -477,7 +477,7 @@ def cmd_verify_corpus(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
+    from .spectral import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL
     from .wsets import DEFAULT_CANDIDATE_CAP
 
     parser = _Parser(prog="signspectra", description=__doc__)

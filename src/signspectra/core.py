@@ -27,9 +27,6 @@ __all__ = [
 # Pair bookkeeping is O(n^2); beyond this the dense workflows here stop
 # making sense and an explicit error beats a silent multi-gigabyte allocation.
 MAX_DIMENSION = 3000
-# Defaults of `spectral.classify`, kept here so the CLI parser needs no scipy.
-DEFAULT_REL_TOL = 1e-6
-DEFAULT_PERIPHERAL_TOL = 1e-6
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

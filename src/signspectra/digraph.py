@@ -140,7 +140,8 @@ class FrobeniusForm:
 def frobenius_form(a, *, arcs=None) -> FrobeniusForm:
     """Strongly connected components of the digraph, ordered so that every
     arc of the condensation points from a later block to an earlier one.
-    `arcs`, when the caller holds it, is `np.nonzero(a)`."""
+    `arcs`, when the caller holds it, is `np.nonzero(a)`.  ValueError when
+    a block's eigenvalue overflows."""
     m = as_matrix(a)
     rows, cols = np.nonzero(m) if arcs is None else arcs
     label = _strong_components(*_adjacency(rows, cols, m.shape[0]))
@@ -175,6 +176,8 @@ def frobenius_form(a, *, arcs=None) -> FrobeniusForm:
     block_indices = tuple(tuple(i + 1 for i in members[c]) for c in placed)
     blocks = tuple(m[np.ix_(members[c], members[c])] for c in placed)
     rho_per_block = tuple(float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks)
+    if not np.isfinite(rho_per_block).all():
+        raise ValueError("spectrum overflowed: an eigenvalue is not finite")
     return FrobeniusForm(
         perm=Permutation(tuple(i for idx in block_indices for i in idx)),
         block_sizes=tuple(len(idx) for idx in block_indices),

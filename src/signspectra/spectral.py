@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__, core
-from .core import DEFAULT_PERIPHERAL_TOL, DEFAULT_REL_TOL, Permutation, as_matrix, pair_count
+from .core import Permutation, as_matrix, pair_count
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
@@ -56,6 +56,8 @@ __all__ = [
 REAL_PART_REL_TOL = 1e-8
 STRICT_SEPARATION = 1.0 - 1e-8
 SIMPLICITY_GAP_REL = 1e-4
+DEFAULT_REL_TOL = 1e-6  # the defaults of `classify` and of the CLI flags
+DEFAULT_PERIPHERAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -461,7 +463,10 @@ class Facts:
 
     @cached_property
     def transitive_w(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """`find_transitive_w` of the two sign graphs."""
+        """`find_transitive_w` of the two sign graphs; None with no search when
+        A has a zero diagonal and a cycle, which leave no W set transitive."""
+        if not self.matrix.diagonal().any() and max(self.frobenius.block_sizes) > 1:
+            return None
         return find_transitive_w(self.graph_a, self.graph_c)
 
     @property
@@ -505,9 +510,8 @@ def classify(
 
     `rel_tol` (finite, > 0) scales eigenvalue matching and `peripheral_tol`
     (in (0, 1)) the peripheral modulus band; other values raise ValueError.
-    Every fact comes from one `Facts`, the caller's when it passes one.  A
-    transitive candidate W set is searched for by `find_transitive_w`, which
-    lists no candidates, so no certificate count limits the input.
+    Every fact comes from one `Facts`, the caller's when it passes one.  No
+    certificate count limits the input: `Facts.transitive_w` lists no W set.
     """
     _check_tolerances(rel_tol, peripheral_tol)
     facts = a if isinstance(a, Facts) else Facts(a)
@@ -555,7 +559,7 @@ def _no_claims(facts, peripheral, tol) -> tuple:
 
 
 def _primitive_claims(facts, peripheral, tol, strict: bool = False) -> list[Prediction]:
-    """The claims of T9.1, T10 and T8.1: rho an eigenvalue, index one, and
+    """The claims of T9.1 and T10: rho an eigenvalue, index one, and
     lambda2 real (positive when `strict`, else nonnegative) below rho."""
     spec = facts.spectrum
     return [
@@ -690,7 +694,6 @@ class _Leaf(NamedTuple):
 
 _ZERO_TEXT = "spectral radius is zero; peripheral structure is degenerate"
 _BOTH_IRREDUCIBLE = "matrix and second compound both irreducible and sign-symmetric;"
-_COMPOUND_REDUCIBLE = "matrix irreducible, compound sign-symmetric but reducible, zero trace;"
 
 # The decision tree, one row per leaf, in the order of the README's leaf table.
 _LEAVES = (
@@ -721,11 +724,9 @@ _LEAVES = (
           lambda f, r: "matrix irreducible and sign-symmetric with sign-symmetric compound"
           " and positive trace",
           _t10_claims, ("compound_irreducible", "h")),
-    _Leaf("T8.1", lambda f: f.transitive_w is not None,
-          lambda f, r: f"{_COMPOUND_REDUCIBLE} a transitive candidate W set exists",
-          _primitive_claims, ("compound_irreducible", "exists_transitive", "h")),
     _Leaf("T8.2", lambda f: True,
-          lambda f, r: f"{_COMPOUND_REDUCIBLE} no transitive candidate W set",
+          lambda f, r: "matrix irreducible, compound sign-symmetric but reducible, zero trace;"
+          " no transitive candidate W set",
           _t82_claims, ("compound_irreducible", "exists_transitive", "h")),
 )
 

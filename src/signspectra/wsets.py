@@ -195,19 +195,22 @@ def build_w_hat(j_set: Iterable[int], jt_set: Iterable[int], n: int) -> WSet:
     if not all(isinstance(v, (int, np.integer)) and 1 <= v <= mp for v in jt_set):
         raise ValueError(f"Jt must be a subset of 1..{mp}, got {sorted(jt_set)}")
 
-    member = np.eye(n, dtype=bool)
-    if n >= 2:
-        i0, j0 = _pair_table(n)
-        in_j = np.zeros(n + 1, dtype=bool)
-        in_j[list(j_set)] = True
-        in_jt = np.zeros(mp + 1, dtype=bool)
-        in_jt[list(jt_set)] = True
-        # The pair table lists the pairs in lexicographic order, so the pair
-        # at 0-based position p has 1-based position p + 1 in Jt.
-        keep = (in_j[i0 + 1] == in_j[j0 + 1]) == in_jt[1:]
-        member[i0, j0] = keep
-        member[j0, i0] = ~keep
-    return WSet(n, member)
+    s = np.zeros((1, n + 1), dtype=bool)
+    t = np.zeros((1, mp + 1), dtype=bool)
+    s[0, list(j_set)] = t[0, list(jt_set)] = True
+    return WSet(n, _members(s[:, 1:], t[:, 1:])[0])
+
+
+def _members(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (G, n, n) member grids of G W sets, from boolean rows s (G, n)
+    marking J and t (G, C(n,2)) marking Jt: pair p = (i, j), i < j, at
+    position p of `_pair_table`, is kept exactly when (s_i == s_j) == t_p."""
+    g, n = s.shape
+    i, j = _pair_table(n)
+    keep = (s[:, i] == s[:, j]) == t
+    members = np.repeat(np.eye(n, dtype=bool)[None], g, axis=0)
+    members[:, i, j], members[:, j, i] = keep, ~keep
+    return members
 
 
 @dataclass(frozen=True)
@@ -349,8 +352,6 @@ def w_candidates_from_graphs(
             vector = bit | sum(p for p, (row, _) in image.rows.items() if row & bit)
             span = np.concatenate([span, span ^ vector])
 
-    n = graph_a.n
-    i, j = _pair_table(n)
     low = (1 << cc) - 1
     j_sets = _BuiltOnAccess(2**ca, lambda rows: _row_sets(graph_a.flip_rows(rows)))
     jt_sets = _BuiltOnAccess(
@@ -361,11 +362,8 @@ def w_candidates_from_graphs(
         # The first combination of each candidate, its W set from the flip
         # rows of that combination's J and Jt, and all its combinations.
         first = ((np.array(gs)[:, None] >> np.arange(pivots.size)) & 1) @ pivots
-        s = graph_a.flip_rows(first >> cc)
         t = graph_c.flip_rows(first & low) if graph_c else np.zeros((len(gs), 0), dtype=bool)
-        keep = (s[:, i] == s[:, j]) == t
-        members = np.repeat(np.eye(n, dtype=bool)[None], len(gs), axis=0)
-        members[:, i, j], members[:, j, i] = keep, ~keep
+        members = _members(graph_a.flip_rows(first >> cc), t)
         w_sets = WSet._from_stack(members)
         checks = _check_transitivity(members)
         combos = first[:, None] ^ span

@@ -31,6 +31,7 @@ from helpers import (
     EXAMPLE1_COMPOUND_J_SETS,
     STABLE_ODD_CELLS,
     brute_force_j_sets,
+    count_calls,
     cycle_matrix,
     hungarian_close,
     random_wset,
@@ -199,7 +200,10 @@ def test_criterion_07_imprimitivity_index_matches_peripheral_count():
             assert split_match(spec.values, rotated, cut=1e-3 * scale, atol=1e-6 * scale)
 
 
-def test_criterion_08_odd_cycle_family_never_contradicts_predictions():
+def test_criterion_08_odd_cycle_family_never_contradicts_predictions(monkeypatch):
+    # A zero diagonal and a cycle rule out every transitive W set (README),
+    # so no input of the family searches for one.
+    searches = count_calls(monkeypatch, "find_transitive_w")
     required = {
         "peripheral_count_odd",
         "peripheral_simple",
@@ -222,6 +226,7 @@ def test_criterion_08_odd_cycle_family_never_contradicts_predictions():
                     json.dumps(counterexample_bundle(a, c), indent=2),
                     pytrace=False,
                 )
+    assert searches == {"find_transitive_w": 0}
 
 
 def test_criterion_09_doubly_positive_family_has_two_positive_leaders():

@@ -508,6 +508,20 @@ class TestAnalyzeSharesFacts:
             "is_irreducible": 0, "_bfs_levels": 4 if theorem == "T9.1" else 3,
         }
 
+    @pytest.mark.parametrize("name, searches", [("t11-blocks", 0), ("tp2", 1)])
+    def test_zero_diagonal_with_a_cycle_skips_the_w_search(
+        self, run, tmp_path, monkeypatch, name, searches
+    ):
+        # The T11 blocks are cycles with zero diagonals, so no W set is
+        # transitive and `Facts` answers without `find_transitive_w`; `tp2`
+        # has a positive diagonal and searches.
+        path = write_csv(tmp_path, ANALYZE_INPUTS[name])
+        calls = count_calls(monkeypatch, "find_transitive_w")
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert calls == {"find_transitive_w": searches}
+        assert json.loads(out)["w_candidates"]["exists_transitive"] == bool(searches)
+
     def test_strong_components_only_for_frobenius_form(self, run, tmp_path, monkeypatch):
         path = write_csv(tmp_path, ANALYZE_INPUTS["t11-blocks"])
         components = "_strong_components"
@@ -1041,6 +1055,9 @@ class TestErrorsAndEnvironment:
         (["gen"], "m.json", '{"kind": "tp2", "n": 5, "sed": 3}', "tp2 spec: unknown field 'sed'"),
         (["verify-corpus"], "m.json", '[{"kind": "tp2", "n": 5, "sed": 3}]',
          "spec 0: tp2 spec: unknown field 'sed'"),
+        # A Frobenius block's spectrum overflows, as `classify` reports it.
+        (["frobenius"], "m.csv", "1e308,1e308\n1e308,1e308\n",
+         "spectrum overflowed: an eigenvalue is not finite"),
     ])
     def test_probe_inputs_give_one_error_line(self, run, tmp_path, monkeypatch, argv, name, text, message):
         monkeypatch.chdir(tmp_path)

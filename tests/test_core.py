@@ -16,8 +16,8 @@ from signspectra.core import (
 )
 from signspectra.exterior import compound2, verify_eigenvalue_products
 from signspectra.gen import cyclic_h
-from signspectra.spectral import classify
-from signspectra.wsets import _triangle_sides, build_w_hat, enumerate_w_candidates
+from signspectra.spectral import Facts, classify
+from signspectra.wsets import _triangle_sides, build_w_hat, enumerate_w_candidates, find_transitive_w
 
 from helpers import EXAMPLE1, STABLE_ODD_CELLS, reference_minor_grid
 
@@ -131,10 +131,13 @@ class TestIndexTables:
 
     @staticmethod
     def run_pass(bases):
-        # classify reaches compound2 and find_transitive_w; the listing, the
-        # product check and build_w_hat are the other readers of the tables.
+        # classify reaches compound2; find_transitive_w, which classify skips
+        # on these zero-diagonal cycles, the listing, the product check and
+        # build_w_hat are the other readers of the tables.
         for a in bases:
-            assert classify(a).theorem == "T8.2"
+            facts = Facts(a)
+            assert classify(facts).theorem == "T8.2"
+            assert find_transitive_w(facts.graph_a, facts.graph_c) is None
             enumerate_w_candidates(a)
             verify_eigenvalue_products(a)
             build_w_hat((), (), len(a))

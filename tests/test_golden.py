@@ -229,10 +229,9 @@ def test_leaves_replay_byte_for_byte(tmp_path):
         assert got == {k: entry[k] for k in LEAF_COMMANDS}, entry["matrix"]
 
 
-def test_golden_matrices_reach_every_leaf_but_t81():
-    """The leaf table row each golden matrix selects: every row is reached
-    but T8.1, which no input is known to reach (ROADMAP item 13), and each
-    reached row's claims are the ones the README's leaf table lists."""
+def test_golden_matrices_reach_every_leaf():
+    """The leaf table row each golden matrix selects: every row is reached,
+    and each row's claims are the ones the README's leaf table lists."""
     matrices = [generate(GenSpec.from_dict(entry["spec"])) for entry in load_golden()]
     claims = [set() for _ in _LEAVES]
     for m in matrices + [np.asarray(m, dtype=float) for m in LEAF_MATRICES]:
@@ -242,10 +241,9 @@ def test_golden_matrices_reach_every_leaf_but_t81():
         assert c.theorem == _LEAVES[row].label
         claims[row].add(tuple(p.claim for p in c.predictions))
     unreached = [leaf.label for leaf, seen in zip(_LEAVES, claims) if not seen]
-    assert unreached == ["T8.1"]
+    assert unreached == []
     for (_, listed, _), seen in zip(readme_leaf_table(), claims):
-        if seen:
-            assert set().union(*seen) == set(listed)
+        assert set().union(*seen) == set(listed)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 import signspectra
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 from signspectra.digraph import frobenius_form
+from signspectra.exterior import compound2
+from signspectra.signsym import TooManyCertificatesError, sign_constraint_graph
+from signspectra.wsets import find_transitive_w, w_candidates_from_graphs
 from signspectra.spectral import (
     Classification,
     _assignment,
@@ -30,6 +34,7 @@ from helpers import (
     cycle_matrix,
     reference_match_complex_multisets,
 )
+from leaf_sweep import sweep
 
 
 class TestEigenvalues:
@@ -709,6 +714,87 @@ class TestFactsFrobenius:
         assert all(np.array_equal(g, e) for g, e in zip(got.blocks, expected.blocks))
         assert len(got.blocks) == len(expected.blocks)
         assert (got.rho_per_block, got.rho) == (expected.rho_per_block, expected.rho)
+
+
+class TestTransitiveWProof:
+    """The README's proof that a zero diagonal and a cycle leave no
+    transitive W set, checked against the search and brute force."""
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_step_one_transitive_w_makes_dad_tp2(self, seed):
+        # For every transitive candidate W with order sigma, built from a
+        # certificate pair (J, Jt), B = DAD on sigma-ordered rows and columns
+        # has no negative 2 x 2 minor.  Half the inputs are permuted `tp2`
+        # matrices, which have transitive W sets at every n.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        if rng.random() < 0.5:
+            perm = rng.permutation(n)
+            b = tp2(n, seed=seed)[np.ix_(perm, perm)]
+        else:
+            b = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        d = rng.choice([-1.0, 1.0], n)
+        facts = Facts(d[:, None] * b * d[None, :])
+        if not facts.graph_c.consistent:
+            return
+        try:
+            enum = w_candidates_from_graphs(facts.graph_a, facts.graph_c, cap=2**12)
+        except TooManyCertificatesError:
+            return
+        for cand in enum.candidates:
+            if cand.transitive:
+                j_set, _ = cand.generating_pairs[0]
+                flips = np.ones(n)
+                flips[[v - 1 for v in j_set]] = -1.0
+                order = np.argsort(cand.order.images)
+                dad = flips[:, None] * facts.matrix * flips[None, :]
+                assert (compound2(dad[np.ix_(order, order)]) >= 0).all()
+
+    def test_search_finds_none_on_zero_diagonal_patterns_with_a_cycle(self):
+        # Every zero-diagonal 0/1 pattern with 2 <= n <= 4 and a
+        # sign-symmetric C2, and its scramble: the search finds no transitive
+        # W set exactly when the pattern has a cycle, that is P^n != 0.
+        counts = {True: 0, False: 0}
+        for n in (2, 3, 4):
+            off = np.flatnonzero(~np.eye(n, dtype=bool))
+            flips = (-1.0) ** np.arange(n)
+            for code in range(2**off.size):
+                pattern = np.zeros(n * n, dtype=np.int64)
+                pattern[off] = (code >> np.arange(off.size)) & 1
+                pattern = pattern.reshape(n, n)
+                cycle = bool(np.linalg.matrix_power(pattern, n).any())
+                for a in (pattern, flips[:, None] * pattern * flips[None, :]):
+                    graph_c = sign_constraint_graph(compound2(a))
+                    if not graph_c.consistent:
+                        break
+                    found = find_transitive_w(sign_constraint_graph(a), graph_c)
+                    assert (found is None) == cycle, a
+                else:
+                    counts[cycle] += 1
+        assert counts == {True: 70, False: 499}
+
+    def test_facts_answer_zero_diagonal_cycles_without_the_search(self, monkeypatch):
+        # Irreducible, and reducible with a cyclic block; a positive diagonal
+        # entry, or no cycle, still searches.
+        calls = count_calls(monkeypatch, "find_transitive_w")
+        for a in (EXAMPLE1, reducible_blocks([cycle_matrix(3), cycle_matrix(5)])):
+            assert Facts(a).transitive_w is None
+        assert calls == {"find_transitive_w": 0}
+        assert Facts(tp2(5, seed=2)).transitive_w is not None
+        assert Facts(np.triu(np.ones((3, 3)), k=1)).transitive_w is not None
+        assert calls == {"find_transitive_w": 2}
+
+    def test_every_pattern_up_to_order_three(self):
+        # ROADMAP item 13's sweep: all 530 0/1 patterns with n <= 3, with
+        # unit magnitudes and one magnitude draw, each also scrambled; every
+        # routing fact equals its brute-force oracle.
+        labels = Counter()
+        for n in (1, 2, 3):
+            counts, failed = sweep(n, draws=(0,))
+            assert failed == []
+            labels += counts
+        assert labels == {"NONE": 1218, "T11": 864, "T10": 20, "T9.1": 10, "T9.2": 8}
 
 
 class TestTypes:
