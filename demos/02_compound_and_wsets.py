@@ -4,7 +4,9 @@ The second compound A^(2) collects all 2x2 minors of A on the C(n,2) index
 pairs.  Its eigenvalues are exactly the pairwise products of eigenvalues
 of A, and the same law holds for every W-matrix, whichever orientation of
 the index pairs is chosen.  `verify_eigenvalue_products` certifies it with a
-backward-error residual from one Schur form of A.
+backward-error residual from one Schur form of A, which it takes from
+numpy's eig and QR, and from scipy.linalg only when that form fails its
+gate or its certificate.
 """
 
 import numpy as np

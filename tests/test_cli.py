@@ -1150,10 +1150,10 @@ class TestErrorsAndEnvironment:
         argvs = [["classify", cycle], ["analyze", blocks]]
         assert self.modules_after(*argvs, root="numpy.ma") == []
 
-    def test_verify_corpus_of_an_odd_cycle_imports_only_scipy_linalg(self, tmp_path):
-        # The product-law certificate takes a Schur form from scipy.linalg.
-        # No other scipy subpackage loads, for a 5-cycle or for a 5-cycle and
-        # a 3-cycle of equal spectral radius as two diagonal blocks.
+    def test_verify_corpus_of_an_odd_cycle_imports_no_scipy(self, tmp_path):
+        # The product-law certificate takes its Schur form from numpy's eig
+        # and QR, for a 5-cycle and for a 5-cycle and a 3-cycle of equal
+        # spectral radius as two diagonal blocks.
         manifest = tmp_path / "manifest.json"
         cycle = {"kind": "cyclic_h", "n": 5, "h": 5}
         blocks = {
@@ -1162,6 +1162,15 @@ class TestErrorsAndEnvironment:
             "rho_targets": [1.0, 1.0],
         }
         manifest.write_text(json.dumps([cycle, blocks]))
+        assert self.modules_after(["verify-corpus", str(manifest)]) == []
+
+    def test_verify_corpus_past_the_schur_gate_imports_only_scipy_linalg(self, tmp_path):
+        # cyclic_h(9, 5) has a defective zero eigenvalue whose eigenvectors
+        # numpy's eig returns nearly parallel, so the eig-and-QR Schur form
+        # fails its gate and the certificate falls back to scipy.linalg.  No
+        # other scipy subpackage loads.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "cyclic_h", "n": 9, "h": 5, "seed": 95}]))
         loaded = self.modules_after(["verify-corpus", str(manifest)])
         assert "scipy.linalg" in loaded
         subpackages = {m.split(".")[1] for m in loaded if "." in m}

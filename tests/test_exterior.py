@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,18 +273,29 @@ def acceptance_inputs():
         a = rng.integers(-5, 6, size=(n, n)).astype(float)
         for _ in range(3):
             yield a, random_wset(n, rng)
+    for a in family_inputs():
+        yield a, None
+    rng = np.random.default_rng(20260419)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        yield rng.integers(-5, 6, size=(n, n)).astype(float), None
+
+
+def family_inputs():
+    """The matrices of criteria 07-11, the scrambled twins included, whose
+    compound has at most 400 rows."""
     for n in range(1, 13):  # criterion 07
         for h in range(1, n + 1):
-            yield cyclic_h(n, h, seed=10 * n + h), None
+            yield cyclic_h(n, h, seed=10 * n + h)
     for i in range(1000):  # criterion 08
         n, h = STABLE_ODD_CELLS[i % len(STABLE_ODD_CELLS)]
         base = cyclic_h(n, h, seed=i)
-        yield base, None
-        yield scrambled(base, seed=i), None
+        yield base
+        yield scrambled(base, seed=i)
     for i in range(200):  # criterion 09
         base = tp2((3, 4, 5)[i % 3], seed=i)
-        yield base, None
-        yield scrambled(base, seed=i), None
+        yield base
+        yield scrambled(base, seed=i)
     rng = np.random.default_rng(20260404)  # criterion 10
     pool = [cycle_matrix(3), cycle_matrix(5), cycle_matrix(7), tp2(3, seed=9)]
     for _ in range(100):
@@ -296,14 +309,10 @@ def acceptance_inputs():
         ]
         a = reducible_blocks([pool[p] for p in picks], rho_targets=targets)
         if pair_count(a.shape[0]) <= 400:
-            yield a, None
+            yield a
     for base, twin in scramble_pairs():  # criterion 11
-        yield base, None
-        yield twin, None
-    rng = np.random.default_rng(20260419)
-    for _ in range(300):
-        n = int(rng.integers(2, 9))
-        yield rng.integers(-5, 6, size=(n, n)).astype(float), None
+        yield base
+        yield twin
 
 
 def edge_inputs():
@@ -342,10 +351,93 @@ class TestCertificateAgainstDenseOracle:
 
     @pytest.mark.parametrize("name", sorted(edge_inputs()))
     def test_edge_cases(self, name):
+        # Each certifies on the numpy Schur form, the Jordan blocks included:
+        # eig of a triangular matrix returns triangular eigenvectors.
         a = edge_inputs()[name]
-        check = verify_eigenvalue_products(a)
+        with schur_calls() as calls:
+            check = verify_eigenvalue_products(a)
         assert check.ok and reference_eigenvalue_products(a)
         assert check.residual <= check.tol
+        assert calls == []
+
+
+@contextlib.contextmanager
+def schur_calls():
+    """A list that records each call of scipy's Schur form, the fallback of
+    the product-law certificate, while the context is open."""
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return schur(*args, **kwargs)
+
+    with mock.patch.object(scipy.linalg, "schur", counting):
+        yield calls
+
+
+def scipy_only_check(a, w=None):
+    """The product-law certificate on scipy's Schur form alone: numpy's eig
+    raises, so the eig-and-QR candidate is never built."""
+    with mock.patch.object(np.linalg, "eig", side_effect=np.linalg.LinAlgError):
+        return verify_eigenvalue_products(a, w)
+
+
+class TestSchurFallback:
+    """The Schur form comes from numpy's eig and QR, and from scipy when that
+    candidate fails its gate or its certificate.  A gated numpy form can only
+    add an `ok`, never take one away."""
+
+    def test_verdicts_match_the_scipy_only_certificate(self):
+        cases = [*acceptance_inputs(), *((a, None) for a in edge_inputs().values())]
+        flips = []
+        with schur_calls() as calls:
+            for a, w in cases:
+                if verify_eigenvalue_products(a, w).ok != scipy_only_check(a, w).ok:
+                    flips.append(a.tolist())
+        assert flips == []
+        # One call per input from scipy_only_check; the rest are fallbacks.
+        # 5 of the 3,584 inputs fall back: the criterion-07 cycles from
+        # cyclic_h(9, 5) to cyclic_h(12, 7), whose defective zero eigenvalue
+        # leaves eig's eigenvectors nearly parallel.
+        fallbacks = len(calls) - len(cases)
+        assert 0 < fallbacks <= 10
+
+    def test_gate_failure_falls_back(self):
+        a = cyclic_h(9, 5, seed=95)
+        with schur_calls() as calls:
+            check = verify_eigenvalue_products(a)
+        assert check.ok and len(calls) == 1
+        expected = scipy_only_check(a)
+        assert (check.residual, check.tol) == (expected.residual, expected.tol)
+        assert np.array_equal(check.products, expected.products)
+
+    def test_eig_failure_falls_back(self):
+        rng = np.random.default_rng(71)
+        for n in (2, 5, 8):
+            a = rng.normal(size=(n, n))
+            for w in (None, random_wset(n, rng)):
+                with schur_calls() as calls:
+                    check = scipy_only_check(a, w)
+                assert check.ok and len(calls) == 1
+
+
+class TestProductLawInvariance:
+    """The product-law verdict depends only on the matrix: on the criterion
+    07-11 families it is unchanged by an exact rescaling by 2^k and by a +-1
+    diagonal scrambling DAD, on the numpy Schur form and on its fallback."""
+
+    def test_power_of_two_scaling_and_scrambling(self):
+        # The power cycles with the input's place, so every family, and the
+        # five criterion-07 cycles that fall back to scipy, meet several.
+        powers = (-40, -1, 1, 40)
+        for i, a in enumerate(family_inputs()):
+            ok = verify_eigenvalue_products(a).ok
+            k = powers[i % 4]
+            assert verify_eigenvalue_products(np.ldexp(a, k)).ok == ok, (k, a.tolist())
+            assert verify_eigenvalue_products(scrambled(a, seed=i)).ok == ok, a.tolist()
 
 
 MUTATION_INPUTS = {
@@ -357,10 +449,20 @@ MUTATION_INPUTS = {
 
 
 def mutated_check(a, entries):
-    """The product-law check of `a` with `entries` in place of its C2."""
+    """The product-law check of `a` with `entries` in place of its C2, and
+    whether it fell back to scipy's Schur form."""
     facts = Facts(a)
     facts.compound = entries
-    return verify_eigenvalue_products(facts)
+    with schur_calls() as calls:
+        check = verify_eigenvalue_products(facts)
+    return check, bool(calls)
+
+
+def assert_rejected(a, entries, context) -> None:
+    """The mutant `entries` fails the certificate on the numpy Schur form,
+    so it also runs the scipy fallback, which fails it too."""
+    check, fell_back = mutated_check(a, entries)
+    assert not check.ok and fell_back, context
 
 
 class TestCertificateMutations:
@@ -372,13 +474,14 @@ class TestCertificateMutations:
     def test_one_entry_off(self, name):
         a = MUTATION_INPUTS[name]()
         c2 = compound2(a)
-        assert mutated_check(a, c2).ok
+        check, fell_back = mutated_check(a, c2)
+        assert check.ok and not fell_back
         rng = np.random.default_rng(61)
         size = c2.shape[0]
         for r, c in [(0, 0), (0, size - 1), (size - 1, 0), *rng.integers(0, size, (5, 2))]:
             wrong = c2.copy()
             wrong[r, c] += 1e-8 * np.linalg.norm(c2)
-            assert not mutated_check(a, wrong).ok, (r, c)
+            assert_rejected(a, wrong, (r, c))
 
     @pytest.mark.parametrize("name", sorted(MUTATION_INPUTS))
     def test_two_pair_rows_swapped(self, name):
@@ -394,5 +497,5 @@ class TestCertificateMutations:
             wrong[[r, s]] = wrong[[s, r]]
             if np.linalg.norm(wrong - c2) > 1e-8 * np.linalg.norm(c2):
                 tested += 1
-                assert not mutated_check(a, wrong).ok, (r, s)
+                assert_rejected(a, wrong, (r, s))
         assert tested >= 4
