@@ -52,7 +52,7 @@ for i in range(5):
     cycle[i, (i + 1) % 5] = 1.0
 enum = enumerate_w_candidates(cycle)
 print("\n5-cycle: unique W candidates =", len(enum.candidates),
-      "| transitive exists =", enum.exists_transitive)
+      "| transitive exists =", any(c.transitive for c in enum.candidates))
 
 # find_transitive_w answers the same question without listing candidates,
 # so a 41-cycle with 2^21 certificate pairs is decided at once.

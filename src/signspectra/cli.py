@@ -295,10 +295,10 @@ def cmd_wsets(args) -> int:
             entries.append({"j": as_list(j), "jt": as_list(jt), **fields})
     _emit_json(
         {
-            "exists_transitive": enum.exists_transitive,
+            "exists_transitive": any(c.transitive for c in enum.candidates),
             "j_count": enum.j_count,
             "jt_count": enum.jt_count,
-            "unique_w_sets": len(enum.candidates),
+            "unique_w_sets": enum.count,
             "candidates": entries,
         }
     )
@@ -352,7 +352,7 @@ def cmd_analyze(args) -> int:
     w_section = None
     if facts.graph_a.consistent and (graph_c is None or graph_c.consistent):
         try:
-            enum = w_candidates_from_graphs(facts.graph_a, graph_c, args.cap)
+            enum = w_candidates_from_graphs(facts.graph_a, graph_c, args.cap, limit=64)
         except TooManyCertificatesError as exc:
             w_section = {"error": str(exc)}
         else:
@@ -365,14 +365,14 @@ def cmd_analyze(args) -> int:
                         for j, jt in cand.generating_pairs
                     ],
                 }
-                for cand in enum.candidates[:64]
+                for cand in enum.candidates
             ]
             w_section = {
                 "exists_transitive": facts.exists_transitive,
                 "j_count": enum.j_count,
                 "jt_count": enum.jt_count,
-                "unique_w_sets": len(enum.candidates),
-                "truncated": len(enum.candidates) > 64,
+                "unique_w_sets": enum.count,
+                "truncated": enum.count > 64,
                 "candidates": listed,
             }
 

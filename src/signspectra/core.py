@@ -9,9 +9,7 @@ lexicographic order.  Internally everything is plain numpy with the usual
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -97,43 +95,6 @@ def pair_unindex(alpha: int, n: int) -> tuple[int, int]:
             return i, i + rest
         rest -= row
     raise AssertionError("unreachable")
-
-
-class _BuiltOnAccess(Sequence):
-    """Read-only sequence whose items are made the first time they are read
-    and returned as the same objects on every later read.  `build` maps a
-    list of distinct indices to the list of their items, so one slice, one
-    `take` or one iteration makes all the items it reads in one call.
-    Supports `len`, int and negative indexing, slices (as tuples) and
-    iteration."""
-
-    def __init__(self, length: int, build: Callable[[list[int]], list]) -> None:
-        self._items: list = [None] * length
-        self._build = build
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self.take(range(len(self._items))[k]))
-        item = self._items[k]
-        if item is None:
-            item = self.take([range(len(self._items))[k]])[0]
-        return item
-
-    def __iter__(self):
-        return iter(self.take(range(len(self._items))))
-
-    def take(self, indices) -> list:
-        """The items at the given non-negative indices, as a list; the ones
-        not made yet are made by one `build` call."""
-        items = self._items
-        missing = [k for k in dict.fromkeys(indices) if items[k] is None]
-        if missing:
-            for k, item in zip(missing, self._build(missing)):
-                items[k] = item
-        return [items[k] for k in indices]
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class SignConstraintGraph:
         bit).  By default `flips` counts through all 2^c of them."""
         self.require_consistent()
         c = len(self.components)
-        flips = np.arange(2**c) if flips is None else np.asarray(flips)
+        flips = np.arange(2**c) if flips is None else np.asarray(flips, dtype=np.int64)
         bits = (flips[:, None] >> self.component_index()) & 1
         return np.asarray(self.coloring, dtype=bool) ^ bits.astype(bool)
 

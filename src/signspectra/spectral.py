@@ -112,7 +112,11 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     assignment that returns scipy's exact pairing; else from scipy, where the
     port's O(k^3) loop costs seconds.  77 is the largest n with C(n, 2) <=
     core.MAX_DIMENSION: every theorem leaf reads C2 as a graph and a
-    peripheral group holds at most n values, so the port serves every leaf.
+    peripheral group holds at most n values, so the port serves every
+    theorem leaf.  `peripheral_spectrum` still reaches scipy for a NONE
+    input that routes without C2 (A not sign-symmetric) when more than 77
+    peripheral values do not each have a different nearest target, as for
+    the 78-cycle with one negative arc.
     """
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
@@ -516,9 +520,11 @@ def classify(
     _check_tolerances(rel_tol, peripheral_tol)
     facts = a if isinstance(a, Facts) else Facts(a)
     spec = facts.spectrum
-    peripheral = peripheral_spectrum(spec, peripheral_tol)
     tol = _Tolerances(rel_tol, peripheral_tol, rel_tol * max(1.0, spec.rho))
     leaf = next(leaf for leaf in _LEAVES if leaf.route(facts))
+    # After routing: no route reads the group, and a route past the C2 graph
+    # limit raises before the group's matching runs.
+    peripheral = peripheral_spectrum(spec, peripheral_tol)
     predictions = tuple(leaf.claims(facts, peripheral, tol))
     reported = {
         name: read(facts, tol) if name in leaf.reports else None

@@ -14,22 +14,20 @@ yields a transitive W set without listing the candidates.
 `enumerate_w_candidates` lists them: the distinct W sets are the cosets of
 the kernel of that map, so their number, the first (J, Jt) combination of
 each and the combinations that generate it follow from one echelon basis
-with no W set built.  Its `candidates` are a sequence built on access: the
-W sets that are read, and the J and Jt sets of their generating pairs, are
-made and checked in one batch the first time they are read, so `analyze`,
-which prints the first 64, builds only those.
+with no W set built.  `w_candidates_from_graphs` then builds and checks the
+first `limit` of them, or all, in one batch, so `analyze`, which prints the
+first 64, builds only those.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .core import Permutation, _BuiltOnAccess, _pair_table, pair_count
+from .core import Permutation, _pair_table, pair_count
 from .signsym import NotSignSymmetricError, SignConstraintGraph, TooManyCertificatesError, _row_sets
 
 __all__ = [
@@ -228,34 +226,25 @@ class WCandidate:
 @dataclass(frozen=True)
 class WCandidateEnumeration:
     """The distinct W sets of the candidate construction, in order of first
-    occurrence among the (J, Jt) combinations, J-major, built from the sign
-    graphs `graph_a` and `graph_c` of a matrix and of its compound (None
-    for n = 1).
+    occurrence among the (J, Jt) combinations, J-major.
 
-    `candidates` is a read-only sequence (`len`, indexing, slices,
-    iteration) built on access: a `WCandidate`, with the J and Jt sets of
-    its generating pairs, is made the first time it is read and the same
-    object is returned afterwards; one slice or one iteration builds and
-    checks the W sets it reads as one batch.  `exists_transitive` is
-    decided by `find_transitive_w` when it is first read, and needs no
-    candidate to be built.
+    `candidates` holds the first `limit` of them that
+    `w_candidates_from_graphs` was asked for, or all of them; `count` is the
+    number of all distinct W sets, and `j_count` and `jt_count` the numbers
+    of J and Jt certificates.  On a full listing, some W set is transitive
+    exactly when `any(c.transitive for c in candidates)`.
     """
 
-    candidates: Sequence[WCandidate]
+    candidates: tuple[WCandidate, ...]
+    count: int
     j_count: int
     jt_count: int
-    graph_a: SignConstraintGraph = field(repr=False)
-    graph_c: SignConstraintGraph | None = field(repr=False)
-
-    @cached_property
-    def exists_transitive(self) -> bool:
-        """Whether some candidate is transitive: for n = 1 the one W set is."""
-        return self.graph_c is None or find_transitive_w(self.graph_a, self.graph_c) is not None
 
 
 def enumerate_w_candidates(a, cap: int = DEFAULT_CANDIDATE_CAP) -> WCandidateEnumeration:
     """Build every candidate W set from the sign certificates of `a` and of
-    its second compound, deduplicated as orientation sets.
+    its second compound, deduplicated as orientation sets, and check each
+    for transitivity.
 
     Requires both `a` and its second compound to be sign-symmetric; raises
     NotSignSymmetricError otherwise and TooManyCertificatesError, before
@@ -319,9 +308,11 @@ def w_candidates_from_graphs(
     graph_a: SignConstraintGraph,
     graph_c: SignConstraintGraph | None,
     cap: int = DEFAULT_CANDIDATE_CAP,
+    limit: int | None = None,
 ) -> WCandidateEnumeration:
     """`enumerate_w_candidates` from the sign-constraint graphs of an n x n
-    matrix and of its second compound (None for n = 1).
+    matrix and of its second compound (None for n = 1), listing the first
+    `limit` distinct W sets, or all of them when `limit` is None.
 
     Two combinations give the same W set exactly when they differ by an
     element of the kernel K of the orientation map (`_orientation`), so the
@@ -331,7 +322,9 @@ def w_candidates_from_graphs(
     least element of a coset is then its only element with no free bit set:
     candidate g first occurs at the g-th integer made of pivot bits alone,
     and its combinations are that integer XOR the span of K, which counts up
-    as the basis subsets do.
+    as the basis subsets do.  The listed W sets are built and checked as one
+    stack, and the J and Jt sets of their combinations come from one
+    `_row_sets` call each.
     """
     _check_cap(cap)
     _require_consistent(graph_a, graph_c)
@@ -352,32 +345,31 @@ def w_candidates_from_graphs(
             vector = bit | sum(p for p, (row, _) in image.rows.items() if row & bit)
             span = np.concatenate([span, span ^ vector])
 
+    # The first combination of each listed candidate, its W set from the
+    # flip rows of that combination's J and Jt, and all its combinations.
+    count = 2**pivots.size
+    listed = np.arange(count if limit is None else min(limit, count))
+    first = ((listed[:, None] >> np.arange(pivots.size)) & 1) @ pivots
     low = (1 << cc) - 1
-    j_sets = _BuiltOnAccess(2**ca, lambda rows: _row_sets(graph_a.flip_rows(rows)))
-    jt_sets = _BuiltOnAccess(
-        2**cc, lambda rows: _row_sets(graph_c.flip_rows(rows)) if graph_c else [frozenset()]
-    )
 
-    def build(gs: list[int]) -> list[WCandidate]:
-        # The first combination of each candidate, its W set from the flip
-        # rows of that combination's J and Jt, and all its combinations.
-        first = ((np.array(gs)[:, None] >> np.arange(pivots.size)) & 1) @ pivots
-        t = graph_c.flip_rows(first & low) if graph_c else np.zeros((len(gs), 0), dtype=bool)
-        members = _members(graph_a.flip_rows(first >> cc), t)
-        w_sets = WSet._from_stack(members)
-        checks = _check_transitivity(members)
-        combos = first[:, None] ^ span
-        pairs = list(zip(j_sets.take((combos >> cc).ravel().tolist()),
-                         jt_sets.take((combos & low).ravel().tolist())))
-        out = []
-        for k, w in enumerate(w_sets):
-            c = _check_at(checks, k)
-            own = tuple(pairs[k * span.size:(k + 1) * span.size])
-            out.append(WCandidate(w, c.transitive, c.witness, c.order, own))
-        return out
+    def flip_rows_c(flips) -> np.ndarray:  # no pair, so no column, for n = 1
+        return graph_c.flip_rows(flips) if graph_c else np.zeros((len(flips), 0), dtype=bool)
 
-    candidates = _BuiltOnAccess(2**pivots.size, build)
-    return WCandidateEnumeration(candidates, 2**ca, 2**cc, graph_a, graph_c)
+    members = _members(graph_a.flip_rows(first >> cc), flip_rows_c(first & low))
+    checks = _check_transitivity(members)
+    combos = first[:, None] ^ span
+    j_rows = (combos >> cc).ravel().tolist()
+    jt_rows = (combos & low).ravel().tolist()
+    j_used, jt_used = list(dict.fromkeys(j_rows)), list(dict.fromkeys(jt_rows))
+    j_sets = dict(zip(j_used, _row_sets(graph_a.flip_rows(j_used))))
+    jt_sets = dict(zip(jt_used, _row_sets(flip_rows_c(jt_used))))
+    pairs = [(j_sets[j], jt_sets[jt]) for j, jt in zip(j_rows, jt_rows)]
+    candidates = []
+    for k, w in enumerate(WSet._from_stack(members)):
+        c = _check_at(checks, k)
+        own = tuple(pairs[k * span.size:(k + 1) * span.size])
+        candidates.append(WCandidate(w, c.transitive, c.witness, c.order, own))
+    return WCandidateEnumeration(tuple(candidates), count, 2**ca, 2**cc)
 
 
 def _check_cap(cap: int) -> None:
@@ -395,8 +387,8 @@ def find_transitive_w(
     n x n matrix, n >= 2, and of its second compound.  Returns a pair
     (J, Jt) from the families that `enumerate_w_candidates` combines whose
     `build_w_hat` is transitive (checked before returning), or None when no
-    pair gives a transitive W set, so the answer is the enumeration's
-    `exists_transitive`.
+    pair gives a transitive W set, so the answer is whether some candidate
+    of the full listing is transitive.
 
     Each sign component of the matrix carries a flip bit f and each one of
     the compound a flip bit g.  With s_i = colour(i) ^ f and

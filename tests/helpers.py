@@ -419,7 +419,7 @@ def reference_j_sets(graph) -> list[frozenset[int]]:
 
 
 class ReferenceListing(NamedTuple):
-    """The fields of a `WCandidateEnumeration`, every one computed up front."""
+    """The reference W listing, and whether one of its W sets is transitive."""
 
     candidates: tuple
     exists_transitive: bool

@@ -611,18 +611,36 @@ class TestWsetsListing:
         assert len(built) == 64
 
     def test_analyze_builds_and_checks_only_the_listed_w_grids(self, run, tmp_path, monkeypatch):
-        # The 5-, 7- and 9-cycle as diagonal blocks: 2^15 (J, Jt)
-        # combinations and 4,096 distinct W sets, counted without building
-        # any.  The 64 that `analyze` prints are built and checked as one
-        # stack.
-        a = reducible_blocks([cycle_matrix(5), cycle_matrix(7), cycle_matrix(9)])
+        # Cycles as diagonal blocks: the 3-, 5- and 7-cycle give 2^12 (J, Jt)
+        # combinations and 512 distinct W sets, the 5-, 7- and 9-cycle 2^15
+        # and 4,096, counted without building any.  The 64 that `analyze`
+        # prints are built and checked as one stack.
         grids = count_calls_by_dimension(monkeypatch, "_check_members", "_check_transitivity")
-        code, out, _ = run("analyze", write_csv(tmp_path, a))
+        for sizes, combinations, count in (((3, 5, 7), 2**12, 512), ((5, 7, 9), 2**15, 4096)):
+            for counter in grids.values():
+                counter.clear()
+            a = reducible_blocks([cycle_matrix(n) for n in sizes])
+            code, out, _ = run("analyze", write_csv(tmp_path, a))
+            assert code == 0
+            section = json.loads(out)["w_candidates"]
+            assert section["j_count"] * section["jt_count"] == combinations
+            assert (section["unique_w_sets"], len(section["candidates"])) == (count, 64)
+            assert grids == {"_check_members": {64: 1}, "_check_transitivity": {64: 1}}
+
+    @pytest.mark.parametrize(
+        "a", [reducible_blocks([cycle_matrix(3), cycle_matrix(5), cycle_matrix(7)]),
+              cycle_matrix(9)],
+        ids=["blocks-3-5-7", "cycle-9"],
+    )
+    def test_wsets_reads_exists_transitive_off_the_listing(self, run, tmp_path, monkeypatch, a):
+        # `wsets` checks every W set, so it needs no transitive-W search.
+        calls = count_calls(monkeypatch, "find_transitive_w")
+        code, out, _ = run("wsets", write_csv(tmp_path, a))
         assert code == 0
-        section = json.loads(out)["w_candidates"]
-        assert section["j_count"] * section["jt_count"] == 2**15
-        assert (section["unique_w_sets"], len(section["candidates"])) == (4096, 64)
-        assert grids == {"_check_members": {64: 1}, "_check_transitivity": {64: 1}}
+        listing = json.loads(out)
+        assert calls == {"find_transitive_w": 0}
+        assert listing["exists_transitive"] is False
+        assert not any(entry["transitive"] for entry in listing["candidates"])
 
 
 _TRICKY_TEXT = st.lists(
@@ -1094,7 +1112,18 @@ class TestErrorsAndEnvironment:
         )
 
     @staticmethod
-    def modules_after(*argvs: list[str], root: str = "scipy") -> list[str]:
+    def fresh_python(probe: str, *args: str) -> subprocess.CompletedProcess:
+        """Run `probe` in a fresh interpreter that imports this signspectra."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        return subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "SIGNSPECTRA_THREADS": "1"},
+        )
+
+    def modules_after(self, *argvs: list[str], root: str = "scipy") -> list[str]:
         """The modules named `root` or below it that a fresh interpreter
         holds after `main(argv)` for each of `argvs` in turn."""
         probe = (
@@ -1106,14 +1135,7 @@ class TestErrorsAndEnvironment:
             " file=sys.stderr)\n"
             "sys.exit(max(codes))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, json.dumps(argvs), root],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath, "SIGNSPECTRA_THREADS": "1"},
-        )
+        proc = self.fresh_python(probe, json.dumps(argvs), root)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
         return ast.literal_eval(proc.stderr)
@@ -1163,6 +1185,32 @@ class TestErrorsAndEnvironment:
         }
         manifest.write_text(json.dumps([cycle, blocks]))
         assert self.modules_after(["verify-corpus", str(manifest)]) == []
+
+    def test_classify_past_the_compound_limit_routes_before_matching(self):
+        # Two 40-cycles of radius 1 as diagonal blocks, n = 80: routing reads
+        # C2 as a graph and fails at once, before the 80 peripheral values
+        # would be paired with their targets by scipy's assignment.
+        probe = (
+            "import sys\n"
+            "from signspectra import spectral\n"
+            "from signspectra.gen import cyclic_h, reducible_blocks\n"
+            "a = reducible_blocks([cyclic_h(40, 40, seed=1), cyclic_h(40, 40, seed=2)],"
+            " rho_targets=(1.0, 1.0))\n"
+            "sizes = []\n"
+            "assignment = spectral._assignment\n"
+            "spectral._assignment = lambda cost: sizes.append(len(cost)) or assignment(cost)\n"
+            "try:\n"
+            "    spectral.classify(a)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print(sizes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = self.fresh_python(probe)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "second compound: matrix dimension 3160 exceeds the supported maximum 3000\n"
+            "[] []\n"
+        )
 
     def test_verify_corpus_past_the_schur_gate_imports_only_scipy_linalg(self, tmp_path):
         # cyclic_h(9, 5) has a defective zero eigenvalue whose eigenvectors

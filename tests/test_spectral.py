@@ -613,6 +613,20 @@ class TestVerdict:
                 b = scrambled(base, seed=int(rng.integers(0, 10**6)))
                 assert classify(b).verdict() == ref
 
+    def test_invariant_under_simultaneous_permutation(self):
+        # Renumbering the indices, P A P^T, moves no label, routing fact or
+        # claim: a seeded sample of the criteria 07-11 inputs, each alone and
+        # scrambled, under random permutations.  Scaling is left out, since
+        # a positive rescaling can still move a verdict.
+        from test_exterior import family_inputs
+
+        inputs = list(family_inputs())
+        rng = np.random.default_rng(18)
+        for k in rng.choice(len(inputs), size=300, replace=False).tolist():
+            for a in (inputs[k], scrambled(inputs[k], seed=k)):
+                p = rng.permutation(len(a))
+                assert classify(a[np.ix_(p, p)]).verdict() == classify(a).verdict()
+
     def test_contains_no_floats(self):
         def leaves(obj):
             if isinstance(obj, tuple):

@@ -330,7 +330,7 @@ class TestEnumerateCandidates:
         assert enum.jt_count == 4
         assert len(enum.candidates) == 4
         assert sum(len(c.generating_pairs) for c in enum.candidates) == 8
-        assert not enum.exists_transitive
+        assert not any(c.transitive for c in enum.candidates)
         for c in enum.candidates:
             assert not c.transitive
             assert c.witness is not None
@@ -349,7 +349,7 @@ class TestEnumerateCandidates:
         enum = enumerate_w_candidates(tp2(4, seed=3))
         assert enum.j_count == 2
         assert enum.jt_count == 2
-        assert enum.exists_transitive
+        assert any(c.transitive for c in enum.candidates)
         orders = [c.order.images for c in enum.candidates if c.transitive]
         assert (1, 2, 3, 4) in orders
 
@@ -372,14 +372,31 @@ class TestEnumerateCandidates:
                 enum_b = enumerate_w_candidates(b)
                 fam_b = {c.w.member.tobytes() for c in enum_b.candidates}
                 assert fam_a == fam_b
-                assert enum_b.exists_transitive == ref.exists_transitive
+                assert any(c.transitive for c in enum_b.candidates) == any(
+                    c.transitive for c in ref.candidates
+                )
 
     def test_n_one_trivial(self):
         enum = enumerate_w_candidates(np.array([[2.0]]))
         assert enum.j_count == 2
         assert enum.jt_count == 1
-        assert len(enum.candidates) == 1
-        assert enum.exists_transitive
+        assert len(enum.candidates) == enum.count == 1
+        assert any(c.transitive for c in enum.candidates)
+        [(j_empty, _), (j_full, _)] = enum.candidates[0].generating_pairs
+        assert {j_empty, j_full} == {frozenset(), frozenset({1})}
+
+    def test_limit_above_count_lists_every_set(self):
+        # The 7-cycle has 8 distinct W sets: a limit of 8 or more lists them
+        # all, a smaller one the first ones.
+        full = enumerate_w_candidates(cycle_matrix(7))
+        assert len(full.candidates) == full.count == 8
+        graphs = matrix_graphs(cycle_matrix(7))
+        for limit in (1, 7, 8, 9, 1000):
+            listing = w_candidates_from_graphs(*graphs, limit=limit)
+            assert listing.count == 8
+            assert [c.w.member.tobytes() for c in listing.candidates] == [
+                c.w.member.tobytes() for c in full.candidates[:limit]
+            ]
 
     def test_cap(self):
         with pytest.raises(TooManyCertificatesError):
@@ -416,8 +433,7 @@ class TestEnumerateCandidates:
 
 def assert_listing_matches_reference(graph_a, graph_c, cap=2**12):
     """The coset listing equals the per-combination reference field by
-    field and in order, errors included, and its `exists_transitive`, from
-    `find_transitive_w`, equals the reference's check of every W set; each
+    field and in order, errors included, and so does its count; each
     graph's `j_sets()` equals the reference's too."""
     try:
         expected = reference_w_candidates(graph_a, graph_c, cap)
@@ -426,7 +442,7 @@ def assert_listing_matches_reference(graph_a, graph_c, cap=2**12):
             w_candidates_from_graphs(graph_a, graph_c, cap)
         return
     got = w_candidates_from_graphs(graph_a, graph_c, cap)
-    assert len(got.candidates) == len(expected.candidates)
+    assert len(got.candidates) == got.count == len(expected.candidates)
     for cand, ref in zip(got.candidates, expected.candidates):
         assert np.array_equal(cand.w.member, ref.w.member)
         assert cand.generating_pairs == ref.generating_pairs
@@ -435,7 +451,7 @@ def assert_listing_matches_reference(graph_a, graph_c, cap=2**12):
         assert cand.order == ref.order
     assert got.j_count == expected.j_count
     assert got.jt_count == expected.jt_count
-    assert got.exists_transitive == expected.exists_transitive
+    assert any(c.transitive for c in got.candidates) == expected.exists_transitive
     for graph in (graph_a, graph_c):
         if graph is not None:
             assert graph.j_sets() == reference_j_sets(graph)
@@ -546,40 +562,30 @@ class TestListingBuiltOnAccess:
     @given(oracle_inputs(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_random_access_matches_reference(self, a, data):
+        # A listing of the first `limit` W sets, `limit` also past the
+        # count, holds the reference's first ones and counts them all.
         graph_a, graph_c = matrix_graphs(a)
         try:
             reference = reference_w_candidates(graph_a, graph_c, 2**12)
         except (NotSignSymmetricError, TooManyCertificatesError):
             return
-        listing = w_candidates_from_graphs(graph_a, graph_c, 2**12)
-        # Decided before any candidate is built.
-        assert (listing.exists_transitive, listing.j_count, listing.jt_count) == (
-            reference.exists_transitive, reference.j_count, reference.jt_count
+        expected = reference.candidates
+        limit = data.draw(st.integers(1, len(expected) + 2))
+        listing = w_candidates_from_graphs(graph_a, graph_c, 2**12, limit=limit)
+        assert (listing.count, listing.j_count, listing.jt_count) == (
+            len(expected), reference.j_count, reference.jt_count
         )
-        expected, got = reference.candidates, listing.candidates
-        size = len(expected)
-        assert len(got) == size
-        seen = {}
-        for k in data.draw(st.permutations(range(size))):
-            cand = got[k - size] if data.draw(st.booleans()) else got[k]
-            ref = expected[k]
+        got = listing.candidates
+        assert type(got) is tuple
+        assert len(got) == min(limit, len(expected))
+        for cand, ref in zip(got, expected):
             assert np.array_equal(cand.w.member, ref.w.member)
             assert not cand.w.member.flags.writeable
             assert (cand.transitive, cand.witness, cand.order, cand.generating_pairs) == (
                 ref.transitive, ref.witness, ref.order, ref.generating_pairs
             )
-            seen[k] = cand
-        start = data.draw(st.integers(-size - 2, size + 2))
-        stop = data.draw(st.integers(-size - 2, size + 2))
-        step = data.draw(st.sampled_from([1, 2, 3, -1, -2]))
-        picked = got[start:stop:step]
-        assert type(picked) is tuple
-        assert [id(c) for c in picked] == [id(seen[k]) for k in range(size)[start:stop:step]]
-        assert [id(c) for c in got] == [id(seen[k]) for k in range(size)]
-        assert got[-1] is seen[size - 1] and got[0] is seen[0]
-        for bad in (size, -size - 1):
-            with pytest.raises(IndexError):
-                got[bad]
+        if limit >= len(expected):
+            assert any(c.transitive for c in got) == reference.exists_transitive
 
 
 class TestFindTransitiveW:
@@ -607,7 +613,7 @@ class TestFindTransitiveW:
         except TooManyCertificatesError:
             assume(False)
         found = find_transitive_w(graph_a, graph_c)
-        assert (found is not None) == enum.exists_transitive
+        assert (found is not None) == any(c.transitive for c in enum.candidates)
         if found is not None:
             j_set, jt_set = found
             assert j_set in graph_a.j_sets()
