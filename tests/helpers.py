@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from signspectra.gen import reducible_blocks, tp2
+
 # Weighted directed 5-cycle: the running worked example.  Its second
 # compound and the four valid J sets of that compound are frozen below and
 # asserted bit-exactly in the tests.
@@ -96,6 +98,59 @@ def cycle_matrix(n: int) -> np.ndarray:
     for i in range(n):
         a[i, (i + 1) % n] = 1.0
     return a
+
+
+# Inputs of `analyze` whose sections are compared with the single commands.
+ANALYZE_INPUTS = {
+    "worked-5x5": EXAMPLE1,
+    "tp2": tp2(5, seed=2),
+    # 8 x 512 (J, Jt) combinations and 512 distinct W sets: truncated.
+    "t11-blocks": reducible_blocks([cycle_matrix(3), cycle_matrix(3), cycle_matrix(5)]),
+    "none": cycle_matrix(4),
+}
+
+# (argv, file, text, message): a matrix or spec file on which the command
+# prints one `error:` line that starts with the message.
+PROBE_ERROR_INPUTS = [
+    # A compound whose odd cycle numbers pairs, named as the compound's.
+    (["wsets"], "m.csv", "0,1\n1,0\n",
+     "second compound is not sign-symmetric; odd constraint cycle (1,)"),
+    # Finite entries whose spectrum, or whose eigenvalue distances, overflow.
+    (["classify"], "m.csv", "1e308,1e308\n1e308,1e308\n",
+     "spectrum overflowed: an eigenvalue is not finite"),
+    (["classify"], "m.csv", "0,1e308\n1e308,0\n",
+     "second compound: matrix entries must be finite"),
+    # Specs nested past the bound, and JSON past the decoder's recursion limit.
+    (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 500
+     + '{"kind": "tp2", "n": 3}' + "}" * 500 + "]",
+     "spec 0: generator specs nest at most 64 levels deep"),
+    (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 1200
+     + '{"kind": "tp2", "n": 3}' + "}" * 1200 + "]",
+     "invalid JSON in m.json: maximum recursion depth exceeded"),
+    (["classify"], "m.json", "[" * 3000 + "]" * 3000, "invalid JSON: maximum recursion depth"),
+    (["gen"], "m.json", "[" * 3000 + "]" * 3000,
+     "invalid JSON in spec file m.json: maximum recursion depth"),
+    # A field the kind does not take.
+    (["gen"], "m.json", '{"kind": "tp2", "n": 5, "sed": 3}', "tp2 spec: unknown field 'sed'"),
+    (["verify-corpus"], "m.json", '[{"kind": "tp2", "n": 5, "sed": 3}]',
+     "spec 0: tp2 spec: unknown field 'sed'"),
+    # A Frobenius block's spectrum overflows, as `classify` reports it.
+    (["frobenius"], "m.csv", "1e308,1e308\n1e308,1e308\n",
+     "spectrum overflowed: an eigenvalue is not finite"),
+]
+
+# (text, cycle): a CSV matrix that `classify` reports as not sign-symmetric,
+# with that odd constraint cycle, though every pairing of its peripheral
+# eigenvalues with the targets has an infinite distance.
+INFINITE_PAIRING_INPUTS = [
+    # The peripheral pair +-1.5e308i lies sqrt(2) rho, beyond the float
+    # range, from both targets +-rho.
+    ("0,-1.5e308\n1.5e308,0\n", "(1, 2)"),
+    # Three peripheral eigenvalues near 1.2e308 lie sqrt(3) rho, beyond
+    # the float range, from two of the cube roots: all three rows are
+    # finite only at the root rho, though none is inf in every pairing.
+    ("1.2e308,1,-1\n1,1.2e308,1\n1,1,1.2e308\n", "(1, 3)"),
+]
 
 
 def random_wset(n: int, rng: np.random.Generator):
@@ -296,7 +351,7 @@ def reference_eigenvalue_products(a, w=None, cut: float = 0.0) -> bool:
 
 def scramble_pairs():
     """Inputs of criterion 11, each with its scrambled twin."""
-    from signspectra.gen import cyclic_h, nonneg_irreducible, reducible_blocks, scrambled, tp2
+    from signspectra.gen import cyclic_h, nonneg_irreducible, scrambled
 
     pairs = []
     for i, (n, h) in enumerate(STABLE_ODD_CELLS):

@@ -1,5 +1,4 @@
 import ast
-import gzip
 import json
 import os
 import shutil
@@ -21,8 +20,11 @@ from signspectra.digraph import imprimitivity_index
 from signspectra.gen import cyclic_h, reducible_blocks, scrambled, tp2
 
 from helpers import (
+    ANALYZE_INPUTS,
     EXAMPLE1,
     EXAMPLE1_COMPOUND_CSV,
+    INFINITE_PAIRING_INPUTS,
+    PROBE_ERROR_INPUTS,
     count_calls,
     count_calls_by_dimension,
     cycle_matrix,
@@ -405,8 +407,6 @@ class TestAnalyze:
         assert data["classification"]["theorem"] == "T10"
 
     def test_listing_cap_leaves_classification_intact(self, run, tmp_path):
-        from signspectra.gen import cyclic_h
-
         path = write_csv(tmp_path, cyclic_h(33, 33, seed=1))
         code, out, _ = run("analyze", path)
         assert code == 0
@@ -434,15 +434,6 @@ def _flat_w_listing(w_section):
         for cand in w_section["candidates"]
         for pair in cand["generating_pairs"]
     ]
-
-
-ANALYZE_INPUTS = {
-    "worked-5x5": EXAMPLE1,
-    "tp2": tp2(5, seed=2),
-    # 8 x 512 (J, Jt) combinations and 512 distinct W sets: truncated.
-    "t11-blocks": reducible_blocks([cycle_matrix(3), cycle_matrix(3), cycle_matrix(5)]),
-    "none": cycle_matrix(4),
-}
 
 
 class TestAnalyzeSharesFacts:
@@ -532,31 +523,7 @@ class TestAnalyzeSharesFacts:
         assert calls == {components: 1, "frobenius_form": 1}
 
 
-# Gzipped `wsets` stdout for these inputs, recorded with the one-combination-
-# at-a-time listing that the coset listing must reproduce byte for byte.  It
-# holds only integers and booleans, so it does not depend on the BLAS build.
-WSETS_GOLDEN = {
-    "t11-blocks": ANALYZE_INPUTS["t11-blocks"],
-    "cyclic_h-12-11": cyclic_h(12, 11),
-}
-
-
 class TestWsetsListing:
-    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
-    def test_output_matches_recorded(self, run, tmp_path, name):
-        code, out, _ = run("wsets", write_csv(tmp_path, WSETS_GOLDEN[name]))
-        assert code == 0
-        recorded = Path(__file__).parent / "data" / f"wsets_{name}.json.gz"
-        assert out.encode() == gzip.decompress(recorded.read_bytes())
-
-    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
-    def test_analyze_section_matches_recorded(self, run, tmp_path, name):
-        code, out, _ = run("analyze", write_csv(tmp_path, WSETS_GOLDEN[name]))
-        assert code == 0
-        section = json.dumps(json.loads(out)["w_candidates"], indent=2) + "\n"
-        recorded = Path(__file__).parent / "data" / f"analyze_w_candidates_{name}.json.gz"
-        assert section.encode() == gzip.decompress(recorded.read_bytes())
-
     def test_checks_each_distinct_w_set_once(self, run, tmp_path, monkeypatch):
         # 8 x 512 (J, Jt) combinations build 512 distinct W sets, checked as
         # one (512, 15, 15) stack; `is_transitive` would be a batch of 1.
@@ -1050,33 +1017,7 @@ class TestErrorsAndEnvironment:
             " the dense minor grid would need C(181,2)^2 entries\n",
         )
 
-    @pytest.mark.parametrize("argv, name, text, message", [
-        # A compound whose odd cycle numbers pairs, named as the compound's.
-        (["wsets"], "m.csv", "0,1\n1,0\n",
-         "second compound is not sign-symmetric; odd constraint cycle (1,)"),
-        # Finite entries whose spectrum, or whose eigenvalue distances, overflow.
-        (["classify"], "m.csv", "1e308,1e308\n1e308,1e308\n",
-         "spectrum overflowed: an eigenvalue is not finite"),
-        (["classify"], "m.csv", "0,1e308\n1e308,0\n",
-         "second compound: matrix entries must be finite"),
-        # Specs nested past the bound, and JSON past the decoder's recursion limit.
-        (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 500
-         + '{"kind": "tp2", "n": 3}' + "}" * 500 + "]",
-         "spec 0: generator specs nest at most 64 levels deep"),
-        (["verify-corpus"], "m.json", "[" + '{"kind": "scrambled", "base": ' * 1200
-         + '{"kind": "tp2", "n": 3}' + "}" * 1200 + "]",
-         "invalid JSON in m.json: maximum recursion depth exceeded"),
-        (["classify"], "m.json", "[" * 3000 + "]" * 3000, "invalid JSON: maximum recursion depth"),
-        (["gen"], "m.json", "[" * 3000 + "]" * 3000,
-         "invalid JSON in spec file m.json: maximum recursion depth"),
-        # A field the kind does not take.
-        (["gen"], "m.json", '{"kind": "tp2", "n": 5, "sed": 3}', "tp2 spec: unknown field 'sed'"),
-        (["verify-corpus"], "m.json", '[{"kind": "tp2", "n": 5, "sed": 3}]',
-         "spec 0: tp2 spec: unknown field 'sed'"),
-        # A Frobenius block's spectrum overflows, as `classify` reports it.
-        (["frobenius"], "m.csv", "1e308,1e308\n1e308,1e308\n",
-         "spectrum overflowed: an eigenvalue is not finite"),
-    ])
+    @pytest.mark.parametrize("argv, name, text, message", PROBE_ERROR_INPUTS)
     def test_probe_inputs_give_one_error_line(self, run, tmp_path, monkeypatch, argv, name, text, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / name).write_text(text)
@@ -1086,15 +1027,7 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
 
-    @pytest.mark.parametrize("text, cycle", [
-        # The peripheral pair +-1.5e308i lies sqrt(2) rho, beyond the float
-        # range, from both targets +-rho.
-        ("0,-1.5e308\n1.5e308,0\n", "(1, 2)"),
-        # Three peripheral eigenvalues near 1.2e308 lie sqrt(3) rho, beyond
-        # the float range, from two of the cube roots: all three rows are
-        # finite only at the root rho, though none is inf in every pairing.
-        ("1.2e308,1,-1\n1,1.2e308,1\n1,1,1.2e308\n", "(1, 3)"),
-    ])
+    @pytest.mark.parametrize("text, cycle", INFINITE_PAIRING_INPUTS)
     def test_probe_inputs_with_every_pairing_infinite_classify(self, run, tmp_path, text, cycle):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -1,32 +1,26 @@
-"""Golden replays of `verify-corpus` and of five single-matrix commands.
+"""Golden replays of the CLI: one table of recorded slices.
 
-`data/golden/verify_corpus.jsonl.gz` holds one JSON line per generator spec:
-the spec, and the stdout, stderr and exit code of `verify-corpus` on a
-manifest that lists only that spec.  The specs are the 52 inputs of the first
-two `cli-corpus` passes of benchmark seed 77, copied into the file so that
-this test does not import the benchmark.
+Each row of `SLICES` names a gzipped JSON-lines file under `data/golden/`,
+the key under which each line holds its input, the inputs in order, and a
+runner.  The runner writes the input's files to a temporary working directory,
+so that the paths the output names are the same on every run, and gives the
+stdout, stderr and exit code of each command it runs there in-process through
+`cli.main`.  A line is the input under its key followed by those results.
+Matrices go to the commands as `matrix.csv`, written by `cli.format_matrix_csv`,
+which round-trips exactly.  `test_replays_byte_for_byte` asks each file for
+the row's inputs and outputs; `record` writes every file from the same table.
 
-`data/golden/commands.jsonl.gz` holds one JSON line per spec of that file, in
-the same order: the spec, and for each of `analyze`, `classify`, `signsym`,
-`frobenius` and `wsets` the stdout, stderr and exit code on the spec's
-matrix, written by `cli.format_matrix_csv` (which round-trips exactly) to
-`matrix.csv` and read from the working directory, so that the path `analyze`
-reports is the same on every run.
+- `verify_corpus`: `verify-corpus` on a one-spec manifest per spec of `SPECS`.
+- `commands`: the five matrix commands on the matrix of each spec of `SPECS`.
+- `errors`: `gen` and `verify-corpus` on each spec text of `ERROR_SPECS`.
+- `leaves`: `classify` and `analyze` on `LEAF_MATRICES`.
+- `matrices`: the five matrix commands on `ANALYZE_INPUTS` and `cyclic_h(12, 11)`.
+- `texts`: each command on its file of `TEXT_INPUTS`.
+- `scale`: `classify` and `analyze` on `SCALE_INPUTS`.
+- `families`: `classify` on every 20th matrix of `family_inputs()`.
 
-`data/golden/errors.jsonl.gz` holds one JSON line per spec text of
-`ERROR_SPECS`, the inputs behind the `error:` line of the spec parser: the
-text, and the stdout, stderr and exit code of `gen` on the text written to
-`spec.json`, and of `verify-corpus` on `manifest.json`, the text as the one
-element of a list (a leading byte-order mark stays in front).
-
-`data/golden/leaves.jsonl.gz` holds one JSON line per matrix of
-`LEAF_MATRICES`, one for each leaf of `classify` that the 52 specs miss: the
-matrix, and the stdout, stderr and exit code of `classify` and `analyze` on
-it, written as `matrix.csv` as above.
-
-The tests replay every line in-process through `cli.main` and ask for the
-same bytes.  The specs are fixed once.  After a deliberate change of output,
-re-record the outputs of the same specs in all four files with
+The inputs are fixed once and never re-chosen to hide a difference.  After
+a deliberate change of output, re-record every file with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -38,27 +32,31 @@ from __future__ import annotations
 import contextlib
 import gzip
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
+import pytest
 
 from signspectra.cli import format_matrix_csv, main
-from signspectra.gen import GenSpec, generate
+from signspectra.gen import GenSpec, cyclic_h, generate, tp2
 from signspectra.spectral import _LEAVES, Facts, classify
 
-from helpers import readme_leaf_table
+from helpers import (
+    ANALYZE_INPUTS,
+    EXAMPLE1,
+    INFINITE_PAIRING_INPUTS,
+    PROBE_ERROR_INPUTS,
+    readme_leaf_table,
+)
+from test_exterior import family_inputs
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
-GOLDEN = GOLDEN_DIR / "verify_corpus.jsonl.gz"
-COMMANDS_GOLDEN = GOLDEN_DIR / "commands.jsonl.gz"
-ERRORS_GOLDEN = GOLDEN_DIR / "errors.jsonl.gz"
-LEAVES_GOLDEN = GOLDEN_DIR / "leaves.jsonl.gz"
-COMMANDS = ("analyze", "classify", "signsym", "frobenius", "wsets")
-LEAF_COMMANDS = ("classify", "analyze")
 
 # One matrix per leaf that no spec of the 52 reaches, with the leaf it reaches.
 LEAF_MATRICES = [
@@ -117,122 +115,124 @@ ERROR_SPECS = [json.dumps(spec) for spec in [
 ]] + ["\ufeff" + json.dumps({"kind": "tp2", "n": 3})]
 
 
-def load_golden(path: Path = GOLDEN) -> list[dict]:
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
+# The scale defects of ROADMAP items 4 and 19, recorded as they stand.
+SCALE_INPUTS = (
+    [tp2(10) * s for s in (1e-20, 1e-16, 1e140, 1e150)]
+    + [cyclic_h(7, 7) * s for s in (1e-14, 1e-13, 1e-12)]
+    + [np.outer(0.37 * np.arange(1.0, 7.0), 1.3 * np.arange(2.0, 8.0))]
+)
+
+
+# Each command and file text of the probe inputs, and a matrix behind a
+# UTF-8 byte-order mark as CSV and as JSON.
+TEXT_INPUTS = [
+    {"argv": argv, "file": name, "text": text}
+    for argv, name, text in [probe[:3] for probe in PROBE_ERROR_INPUTS]
+    + [(["classify"], "m.csv", text) for text, _ in INFINITE_PAIRING_INPUTS]
+    + [(["classify"], "m.csv", "\ufeff" + format_matrix_csv(EXAMPLE1)),
+       (["classify"], "m.json", "\ufeff" + json.dumps({"n": 5, "rows": EXAMPLE1.tolist()}))]
+]
+
+
+def load_golden(name: str) -> list[dict]:
+    with gzip.open(GOLDEN_DIR / name, "rt", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
 
 
-def run_cli(argv: list[str]) -> dict:
-    """stdout, stderr and exit code of `cli.main(argv)`."""
+def run_cli(argv: list[str], work: Path, files: dict[str, str]) -> dict:
+    """stdout, stderr and exit code of `cli.main(argv)` with `work` as the
+    working directory, after writing each text of `files` there."""
+    for name, text in files.items():
+        (work / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def verify_corpus(spec: dict, work: Path) -> dict:
-    """stdout, stderr and exit code of `verify-corpus` on a one-spec manifest."""
-    manifest = work / "manifest.json"
-    manifest.write_text(json.dumps([spec]))
-    return run_cli(["verify-corpus", str(manifest)])
+def matrix_commands(*names: str) -> Callable[[Any, Path], dict]:
+    """A runner: the `run_cli` result of each command of `names` on a
+    matrix, read as `matrix.csv`."""
+    def run(matrix, work: Path) -> dict:
+        files = {"matrix.csv": format_matrix_csv(np.asarray(matrix, dtype=float))}
+        return {name: run_cli([name, "matrix.csv"], work, files) for name in names}
+    return run
 
 
-def commands(spec: dict, work: Path) -> dict:
-    """The `run_cli` result of each of COMMANDS on the spec's matrix."""
-    return matrix_commands(generate(GenSpec.from_dict(spec)), COMMANDS, work)
-
-
-def matrix_commands(matrix, names: tuple[str, ...], work: Path) -> dict:
-    """The `run_cli` result of each command of `names` on `matrix`, read as
-    `matrix.csv` with `work` as the working directory."""
-    (work / "matrix.csv").write_text(format_matrix_csv(np.asarray(matrix, dtype=float)))
-    cwd = os.getcwd()
-    os.chdir(work)
-    try:
-        return {command: run_cli([command, "matrix.csv"]) for command in names}
-    finally:
-        os.chdir(cwd)
+MATRIX_COMMANDS = matrix_commands("analyze", "classify", "signsym", "frobenius", "wsets")
 
 
 def spec_errors(text: str, work: Path) -> dict:
-    """The `run_cli` results of `gen` and `verify-corpus` on the spec text,
-    with `work` as the working directory."""
+    """`gen` on the spec text as `spec.json`, and `verify-corpus` on the text
+    as the one element of `manifest.json` (a leading byte-order mark stays
+    in front)."""
     body = text.removeprefix("\ufeff")
-    (work / "spec.json").write_text(text, encoding="utf-8")
-    (work / "manifest.json").write_text(text[: len(text) - len(body)] + f"[{body}]", encoding="utf-8")
-    cwd = os.getcwd()
-    os.chdir(work)
-    try:
-        return {
-            "gen": run_cli(["gen", "spec.json"]),
-            "verify-corpus": run_cli(["verify-corpus", "manifest.json"]),
-        }
-    finally:
-        os.chdir(cwd)
+    files = {"spec.json": text, "manifest.json": text[: len(text) - len(body)] + f"[{body}]"}
+    return {
+        "gen": run_cli(["gen", "spec.json"], work, files),
+        "verify-corpus": run_cli(["verify-corpus", "manifest.json"], work, files),
+    }
 
 
-def _write(path: Path, lines: list[str]) -> None:
-    # mtime=0 keeps the file byte-identical when nothing changed.
-    path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode(), mtime=0))
+class Slice(NamedTuple):
+    file: str
+    key: str
+    inputs: list
+    run: Callable[[Any, Path], dict]
 
 
-def record(specs: list[dict]) -> None:
-    """Write the outputs of `specs`, in order, to the two golden files of
-    the 52 specs, those of ERROR_SPECS to the third and those of
-    LEAF_MATRICES to the fourth."""
+# The 52 inputs of the first two `cli-corpus` passes of benchmark seed 77,
+# copied into the first file so that this test does not import the benchmark.
+SPECS = [entry["spec"] for entry in load_golden("verify_corpus.jsonl.gz")]
+SLICES = [
+    Slice("verify_corpus.jsonl.gz", "spec", SPECS, lambda spec, work: run_cli(
+        ["verify-corpus", "manifest.json"], work, {"manifest.json": json.dumps([spec])})),
+    Slice("commands.jsonl.gz", "spec", SPECS,
+          lambda spec, work: MATRIX_COMMANDS(generate(GenSpec.from_dict(spec)), work)),
+    Slice("errors.jsonl.gz", "spec", ERROR_SPECS, spec_errors),
+    Slice("leaves.jsonl.gz", "matrix", LEAF_MATRICES, matrix_commands("classify", "analyze")),
+    Slice("matrices.jsonl.gz", "matrix",
+          [m.tolist() for m in [*ANALYZE_INPUTS.values(), cyclic_h(12, 11)]],
+          MATRIX_COMMANDS),
+    Slice("texts.jsonl.gz", "input", TEXT_INPUTS, lambda probe, work: run_cli(
+        [*probe["argv"], probe["file"]], work, {probe["file"]: probe["text"]})),
+    Slice("scale.jsonl.gz", "matrix", [m.tolist() for m in SCALE_INPUTS],
+          matrix_commands("classify", "analyze")),
+    Slice("families.jsonl.gz", "matrix",
+          [m.tolist() for m in itertools.islice(family_inputs(), 0, None, 20)],
+          matrix_commands("classify")),
+]
+
+
+def record() -> None:
+    """Write every file of SLICES from the row's inputs and runner."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        corpus = [json.dumps({"spec": spec, **verify_corpus(spec, work)}) for spec in specs]
-        per_command = [json.dumps({"spec": spec, **commands(spec, work)}) for spec in specs]
-        errors = [json.dumps({"spec": text, **spec_errors(text, work)}) for text in ERROR_SPECS]
-        leaves = [
-            json.dumps({"matrix": m, **matrix_commands(m, LEAF_COMMANDS, work)})
-            for m in LEAF_MATRICES
-        ]
-    _write(GOLDEN, corpus)
-    _write(COMMANDS_GOLDEN, per_command)
-    _write(ERRORS_GOLDEN, errors)
-    _write(LEAVES_GOLDEN, leaves)
+        for row in SLICES:
+            lines = [json.dumps({row.key: x, **row.run(x, Path(tmp))}) for x in row.inputs]
+            # mtime=0 keeps the file byte-identical when nothing changed.
+            data = gzip.compress(("\n".join(lines) + "\n").encode(), mtime=0)
+            (GOLDEN_DIR / row.file).write_bytes(data)
 
 
-def test_verify_corpus_replays_byte_for_byte(tmp_path):
-    golden = load_golden()
-    assert len(golden) == 52
+@pytest.mark.parametrize("row", SLICES, ids=lambda row: row.file.split(".")[0])
+def test_replays_byte_for_byte(tmp_path, row):
+    golden = load_golden(row.file)
+    assert [entry[row.key] for entry in golden] == row.inputs
     for entry in golden:
-        got = verify_corpus(entry["spec"], tmp_path)
-        assert got == {k: entry[k] for k in ("stdout", "stderr", "exit")}, entry["spec"]
-
-
-def test_commands_replay_byte_for_byte(tmp_path):
-    golden = load_golden(COMMANDS_GOLDEN)
-    assert [entry["spec"] for entry in golden] == [entry["spec"] for entry in load_golden()]
-    for entry in golden:
-        got = commands(entry["spec"], tmp_path)
-        for command in COMMANDS:
-            assert got[command] == entry[command], (command, entry["spec"])
-
-
-def test_spec_errors_replay_byte_for_byte(tmp_path):
-    golden = load_golden(ERRORS_GOLDEN)
-    assert [entry["spec"] for entry in golden] == ERROR_SPECS
-    for entry in golden:
-        got = spec_errors(entry["spec"], tmp_path)
-        assert got == {k: entry[k] for k in ("gen", "verify-corpus")}, entry["spec"]
-
-
-def test_leaves_replay_byte_for_byte(tmp_path):
-    golden = load_golden(LEAVES_GOLDEN)
-    assert [entry["matrix"] for entry in golden] == LEAF_MATRICES
-    for entry in golden:
-        got = matrix_commands(entry["matrix"], LEAF_COMMANDS, tmp_path)
-        assert got == {k: entry[k] for k in LEAF_COMMANDS}, entry["matrix"]
+        assert {row.key: entry[row.key], **row.run(entry[row.key], tmp_path)} == entry, entry[row.key]
 
 
 def test_golden_matrices_reach_every_leaf():
     """The leaf table row each golden matrix selects: every row is reached,
     and each row's claims are the ones the README's leaf table lists."""
-    matrices = [generate(GenSpec.from_dict(entry["spec"])) for entry in load_golden()]
+    assert len(SPECS) == 52
+    matrices = [generate(GenSpec.from_dict(spec)) for spec in SPECS]
     claims = [set() for _ in _LEAVES]
     for m in matrices + [np.asarray(m, dtype=float) for m in LEAF_MATRICES]:
         facts = Facts(m)
@@ -249,5 +249,5 @@ def test_golden_matrices_reach_every_leaf():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    record([entry["spec"] for entry in load_golden()])
-    print(f"re-recorded {GOLDEN}, {COMMANDS_GOLDEN}, {ERRORS_GOLDEN} and {LEAVES_GOLDEN}")
+    record()
+    print("re-recorded", ", ".join(row.file for row in SLICES), "in", GOLDEN_DIR)
