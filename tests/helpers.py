@@ -8,7 +8,9 @@ from boolean matrix powers.
 
 from __future__ import annotations
 
+import gzip
 import heapq
+import json
 import re
 from collections import Counter, deque
 from pathlib import Path
@@ -98,6 +100,15 @@ def cycle_matrix(n: int) -> np.ndarray:
     for i in range(n):
         a[i, (i + 1) % n] = 1.0
     return a
+
+
+# Recorded CLI outputs, one JSON object per line; see test_golden.py.
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+def load_golden(name: str) -> list[dict]:
+    with gzip.open(GOLDEN_DIR / name, "rt", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 # Inputs of `analyze` whose sections are compared with the single commands.

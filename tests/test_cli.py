@@ -28,6 +28,7 @@ from helpers import (
     count_calls,
     count_calls_by_dimension,
     cycle_matrix,
+    load_golden,
 )
 
 
@@ -523,7 +524,37 @@ class TestAnalyzeSharesFacts:
         assert calls == {components: 1, "frobenius_form": 1}
 
 
+# Inputs whose `wsets` stdout was recorded with the one-combination-at-a-time
+# listing that the coset listing must reproduce byte for byte.  The outputs
+# live in the golden `matrices` slice, which runs every matrix command on them.
+WSETS_GOLDEN = {
+    "t11-blocks": ANALYZE_INPUTS["t11-blocks"],
+    "cyclic_h-12-11": cyclic_h(12, 11),
+}
+
+
+def recorded_stdout(command, m):
+    """The golden `matrices` slice's recorded stdout of `command` on `m`."""
+    rows = [e for e in load_golden("matrices.jsonl.gz") if e["matrix"] == np.asarray(m).tolist()]
+    assert len(rows) == 1
+    return rows[0][command]["stdout"]
+
+
 class TestWsetsListing:
+    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
+    def test_output_matches_recorded(self, run, tmp_path, name):
+        code, out, _ = run("wsets", write_csv(tmp_path, WSETS_GOLDEN[name]))
+        assert code == 0
+        assert out == recorded_stdout("wsets", WSETS_GOLDEN[name])
+
+    @pytest.mark.parametrize("name", sorted(WSETS_GOLDEN))
+    def test_analyze_section_matches_recorded(self, run, tmp_path, name):
+        code, out, _ = run("analyze", write_csv(tmp_path, WSETS_GOLDEN[name]))
+        assert code == 0
+        section = json.loads(out)["w_candidates"]
+        recorded = json.loads(recorded_stdout("analyze", WSETS_GOLDEN[name]))["w_candidates"]
+        assert json.dumps(section, indent=2) == json.dumps(recorded, indent=2)
+
     def test_checks_each_distinct_w_set_once(self, run, tmp_path, monkeypatch):
         # 8 x 512 (J, Jt) combinations build 512 distinct W sets, checked as
         # one (512, 15, 15) stack; `is_transitive` would be a batch of 1.

@@ -50,13 +50,13 @@ from signspectra.spectral import _LEAVES, Facts, classify
 from helpers import (
     ANALYZE_INPUTS,
     EXAMPLE1,
+    GOLDEN_DIR,
     INFINITE_PAIRING_INPUTS,
     PROBE_ERROR_INPUTS,
+    load_golden,
     readme_leaf_table,
 )
 from test_exterior import family_inputs
-
-GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 # One matrix per leaf that no spec of the 52 reaches, with the leaf it reaches.
 LEAF_MATRICES = [
@@ -132,11 +132,6 @@ TEXT_INPUTS = [
     + [(["classify"], "m.csv", "\ufeff" + format_matrix_csv(EXAMPLE1)),
        (["classify"], "m.json", "\ufeff" + json.dumps({"n": 5, "rows": EXAMPLE1.tolist()}))]
 ]
-
-
-def load_golden(name: str) -> list[dict]:
-    with gzip.open(GOLDEN_DIR / name, "rt", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
 
 
 def run_cli(argv: list[str], work: Path, files: dict[str, str]) -> dict:
