@@ -26,6 +26,7 @@ from .core import Permutation, as_matrix, pair_count
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
+    _adjacency,
     _pattern_index,
     frobenius_form,
     imprimitivity_index,
@@ -102,21 +103,16 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     """Pairing of two complex multisets; ok when the sizes agree and some
     pairing keeps every matched pair within `tol`.
 
-    `max_distance` is the largest distance of the min-sum pairing, or of a
-    pairing within `tol` when the min-sum one is not; inf when every pairing
-    holds a distance beyond the float range.  ValueError when sizes agree
-    and a distance is NaN.
+    `max_distance` is the bottleneck: the least largest distance over every
+    pairing (Gabow and Tarjan, J. Algorithms 9, 1988), so ok is exactly
+    `max_distance <= tol`.  It is inf when every pairing holds a distance
+    beyond the float range.  ValueError when sizes agree and a distance is
+    NaN.
 
-    The pairing comes from the row rule when each row's nearest target is a
-    different one; else, for k <= 77 values, from a Python port of scipy's
-    assignment that returns scipy's exact pairing; else from scipy, where the
-    port's O(k^3) loop costs seconds.  77 is the largest n with C(n, 2) <=
-    core.MAX_DIMENSION: every theorem leaf reads C2 as a graph and a
-    peripheral group holds at most n values, so the port serves every
-    theorem leaf.  `peripheral_spectrum` still reaches scipy for a NONE
-    input that routes without C2 (A not sign-symmetric) when more than 77
-    peripheral values do not each have a different nearest target, as for
-    the 78-cycle with one negative arc.
+    When each row's nearest target is a different one, the bottleneck is the
+    largest row minimum.  Else it is at least the largest row or column
+    minimum; the distances from there up are bisected, that bound probed
+    first, each probe asking whether the distances within it pair every row.
     """
     av = np.asarray(a, dtype=complex).ravel()
     bv = np.asarray(b, dtype=complex).ravel()
@@ -129,79 +125,47 @@ def match_complex_multisets(a, b, tol: float) -> MatchResult:
     low = cost.min(axis=1).tolist()  # a row with a NaN distance has NaN here
     if math.isnan(sum(low)):
         raise ValueError("match_complex_multisets: a distance is NaN")
-    max_distance = max(low)
     if len(set(cost.argmin(axis=1).tolist())) == len(low):
-        # Every pairing costs at least sum(low), row by row, and pairing each
-        # row with its own argmin meets it; so every min-sum pairing takes
-        # each row's minimum, and none has a largest distance below max(low).
+        # Each row's own minimum pairs every row, and no pairing does better.
+        max_distance = max(low)
         return MatchResult(max_distance <= tol, max_distance)
-    if cost.max() > 2.0**1000:
-        infinite = np.isinf(cost)
-        if infinite[_assignment(infinite)].any():
-            # Every pairing holds an infinite distance; scipy calls that infeasible.
-            return MatchResult(False, float("inf"))
-        # The solver's path sums may overflow, which it also calls infeasible
-        # or answers with a pairing that is not min-sum.  Scaling by 2^-64 keeps
-        # them finite, and is exact for every distance above 2^-958.
-        rows, cols = _assignment(np.ldexp(cost, -64))
-    else:
-        rows, cols = _assignment(cost)
-    max_distance = float(cost[rows, cols].max())
-    if max_distance > tol:
-        # A min-sum pairing need not minimise the largest distance; a pairing
-        # with no pair beyond `tol` exists when one of them costs 0 in 0/1.
-        rows, cols = _assignment(cost > tol)
-        within = cost[rows, cols]
-        if (within <= tol).all():
-            max_distance = float(within.max())
-    return MatchResult(max_distance <= tol, max_distance)
+    bound = max(max(low), float(cost.min(axis=0).max()))
+    levels = np.sort(cost[cost >= bound])
+    levels = levels[np.append(True, levels[1:] != levels[:-1])].tolist()
+    lo, hi, mid = 0, len(levels) - 1, 0  # the largest distance pairs every row
+    while lo < hi:
+        if _pairs_every_row(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+        mid = (lo + hi) // 2
+    return MatchResult(levels[lo] <= tol, levels[lo])
 
 
-def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of the pairing that scipy's `linear_sum_assignment`
-    returns for a square cost matrix; ValueError, as there, when every pairing
-    holds an infinite cost.  Up to 77 rows this ports scipy's shortest augmenting
-    path solver (Crouse, IEEE TAES, 2016), keeping its column scan order, tie
-    rule and order of float operations, so that ties pair alike."""
-    k = len(cost)
-    if k > 77:  # the largest n with C(n, 2) <= core.MAX_DIMENSION
-        from scipy.optimize import linear_sum_assignment  # 0.3 s to import
-        return linear_sum_assignment(cost)
-    c = cost.astype(float).tolist()
-    u, v, path, col4row, row4col = [0.0] * k, [0.0] * k, [-1] * k, [-1] * k, [-1] * k
-    for cur in range(k):
-        shortest, seen_cols = [math.inf] * k, []
-        remaining = list(range(k - 1, -1, -1))  # so a constant cost pairs i with i
-        min_val, i, sink = 0.0, cur, -1
-        while sink < 0:
-            index, lowest = -1, math.inf
-            ci, ui = c[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + ci[j] - ui - v[j]
-                if r < shortest[j]:
-                    path[j], shortest[j] = i, r
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest, index = shortest[j], it
-            if lowest == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            min_val, j = lowest, remaining[index]
-            i = row4col[j]
-            sink = j if i == -1 else -1
-            seen_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for j in seen_cols:  # each but the sink leads on to the row it is paired with
-            if j != sink:
-                u[row4col[j]] += min_val - shortest[j]
-            v[j] -= min_val - shortest[j]
-        while True:  # augment along the path from the sink back to row `cur`
-            i = path[sink]
-            row4col[sink] = i
-            col4row[i], sink = sink, col4row[i]
-            if i == cur:
+def _pairs_every_row(allowed: np.ndarray) -> bool:
+    """Whether the square 0/1 matrix `allowed` pairs each row with a column of
+    its own: one breadth-first augmenting path per row (Kuhn, 1955)."""
+    k = len(allowed)
+    indptr, cols = _adjacency(*np.nonzero(allowed), k)
+    col4row, row4col = [-1] * k, [-1] * k
+    for root in range(k):
+        came_from, queue, sink = [-1] * k, [root], -1
+        for i in queue:
+            for j in cols[indptr[i]:indptr[i + 1]]:
+                if came_from[j] < 0:
+                    came_from[j] = i
+                    if row4col[j] < 0:
+                        sink = j
+                        break
+                    queue.append(row4col[j])
+            if sink >= 0:
                 break
-    return np.arange(k), np.array(col4row)
+        if sink < 0:
+            return False
+        while sink >= 0:  # flip the path from the free column back to the root
+            i = came_from[sink]
+            row4col[sink], col4row[i], sink = i, sink, col4row[i]
+    return True
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def reference_eigenvalue_products(a, w=None, cut: float = 0.0) -> bool:
     products, w_eigs = lam[i] * lam[j], np.linalg.eigvals(entries)
     big_p, big_w = products[np.abs(products) >= cut], w_eigs[np.abs(w_eigs) >= cut]
     tol = 1e-6 * max(1.0, rho * rho)
-    return big_p.size == big_w.size and hungarian_close(big_p, big_w, tol)
+    return big_p.size == big_w.size and pairs_within(big_p, big_w, tol)
 
 
 def scramble_pairs():
@@ -385,34 +385,7 @@ def scramble_pairs():
     return pairs
 
 
-def reference_match_complex_multisets(a, b, tol: float):
-    """`match_complex_multisets` with scipy's assignment on every call: the
-    min-sum pairing, then a 0/1 pairing within `tol` when the min-sum one
-    is not.  Raises scipy's ValueError when scipy finds no finite pairing:
-    every pairing holds an infinite distance, or its path sums overflow."""
-    from scipy.optimize import linear_sum_assignment
-
-    from signspectra.spectral import MatchResult
-
-    av = np.asarray(a, dtype=complex).ravel()
-    bv = np.asarray(b, dtype=complex).ravel()
-    if av.size != bv.size:
-        return MatchResult(False, float("inf"))
-    if av.size == 0:
-        return MatchResult(True, 0.0)
-    with np.errstate(over="ignore"):
-        cost = np.abs(av[:, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    max_distance = float(cost[rows, cols].max())
-    if max_distance > tol:
-        rows, cols = linear_sum_assignment(cost > tol)
-        within = cost[rows, cols]
-        if (within <= tol).all():
-            max_distance = float(within.max())
-    return MatchResult(max_distance <= tol, max_distance)
-
-
-def hungarian_close(a, b, atol: float) -> bool:
+def pairs_within(a, b, atol: float) -> bool:
     """True when the two complex multisets pair up within atol."""
     from signspectra.spectral import match_complex_multisets
 

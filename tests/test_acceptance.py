@@ -33,7 +33,7 @@ from helpers import (
     brute_force_j_sets,
     count_calls,
     cycle_matrix,
-    hungarian_close,
+    pairs_within,
     random_wset,
     scramble_pairs,
 )
@@ -52,7 +52,7 @@ def split_match(left, right, cut: float, atol: float) -> bool:
     big_r = right[np.abs(right) > cut]
     if len(big_l) != len(big_r):
         return False
-    return hungarian_close(big_l, big_r, atol)
+    return pairs_within(big_l, big_r, atol)
 
 
 def write_example_csv(tmp_path) -> str:
@@ -109,7 +109,7 @@ def test_criterion_03_analyze_routes_worked_example_to_odd_cycle_case(
     assert cls["peripheral"]["k"] == 5
     assert cls["peripheral"]["k"] % 2 == 1
     values = [complex(z["re"], z["im"]) for z in cls["peripheral"]["values"]]
-    assert hungarian_close(values, FIFTH_ROOTS, atol=1e-8)
+    assert pairs_within(values, FIFTH_ROOTS, atol=1e-8)
 
 
 def test_criterion_04_eigenvalue_products_match_for_random_w_matrices():
@@ -270,7 +270,7 @@ def test_criterion_10_block_diagonal_multiplicity_and_groups():
             ]
         )
         assert c.peripheral_count == len(expected_roots)
-        assert hungarian_close(c.peripheral.values, expected_roots, atol=1e-6)
+        assert pairs_within(c.peripheral.values, expected_roots, atol=1e-6)
 
 
 def test_criterion_11_scrambling_preserves_verdicts_and_spectra():
@@ -279,4 +279,4 @@ def test_criterion_11_scrambling_preserves_verdicts_and_spectra():
         ct = classify(twin)
         assert cb.verdict() == ct.verdict()
         atol = 1e-12 * max(1.0, cb.spectrum.rho)
-        assert hungarian_close(cb.spectrum.values, ct.spectrum.values, atol)
+        assert pairs_within(cb.spectrum.values, ct.spectrum.values, atol)

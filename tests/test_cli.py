@@ -1152,8 +1152,8 @@ class TestErrorsAndEnvironment:
 
     def test_classify_past_the_compound_limit_routes_before_matching(self):
         # Two 40-cycles of radius 1 as diagonal blocks, n = 80: routing reads
-        # C2 as a graph and fails at once, before the 80 peripheral values
-        # would be paired with their targets by scipy's assignment.
+        # C2 as a graph and fails at once, before the 80 peripheral values,
+        # each root shared by both blocks, would be paired with their targets.
         probe = (
             "import sys\n"
             "from signspectra import spectral\n"
@@ -1161,8 +1161,8 @@ class TestErrorsAndEnvironment:
             "a = reducible_blocks([cyclic_h(40, 40, seed=1), cyclic_h(40, 40, seed=2)],"
             " rho_targets=(1.0, 1.0))\n"
             "sizes = []\n"
-            "assignment = spectral._assignment\n"
-            "spectral._assignment = lambda cost: sizes.append(len(cost)) or assignment(cost)\n"
+            "pairs = spectral._pairs_every_row\n"
+            "spectral._pairs_every_row = lambda allowed: sizes.append(len(allowed)) or pairs(allowed)\n"
             "try:\n"
             "    spectral.classify(a)\n"
             "except ValueError as exc:\n"
@@ -1175,6 +1175,24 @@ class TestErrorsAndEnvironment:
             "second compound: matrix dimension 3160 exceeds the supported maximum 3000\n"
             "[] []\n"
         )
+
+    def test_78_cycle_with_a_negative_arc_imports_no_scipy(self):
+        # Its 78 peripheral values, the 78th roots of -1, each lie halfway
+        # between two 78th roots of 1, so the row rule fails and the
+        # bottleneck pairing is bisected; the verdict is the parent's NONE.
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from signspectra.spectral import classify\n"
+            "a = np.roll(np.eye(78), 1, axis=1)\n"
+            "a[77, 0] = -1.0\n"
+            "c = classify(a)\n"
+            "print(c.verdict(), c.peripheral.roots_of)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = self.fresh_python(probe)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "('NONE', True, None, None, None, None, 78, None, ()) None\n[]\n"
 
     def test_verify_corpus_past_the_schur_gate_imports_only_scipy_linalg(self, tmp_path):
         # cyclic_h(9, 5) has a defective zero eigenvalue whose eigenvectors

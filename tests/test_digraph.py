@@ -19,8 +19,8 @@ from helpers import (
     EXAMPLE1,
     count_calls,
     cycle_matrix,
-    hungarian_close,
     kosaraju_components,
+    pairs_within,
     reference_block_order,
     reference_frobenius_form,
 )
@@ -240,7 +240,7 @@ class TestFrobeniusForm:
             all_eigs = np.concatenate(
                 [np.linalg.eigvals(b) for b in form.blocks]
             )
-            assert hungarian_close(np.linalg.eigvals(a), all_eigs, 1e-8 * max(1.0, form.rho))
+            assert pairs_within(np.linalg.eigvals(a), all_eigs, 1e-8 * max(1.0, form.rho))
 
     def test_deterministic_tie_break(self):
         # Diagonal matrix: no condensation arcs, so blocks come out in index order.
@@ -296,7 +296,7 @@ class TestImprimitivity:
             a = cyclic_h(n, h, seed=int(rng.integers(0, 10**6)))
             eigs = np.linalg.eigvals(a)
             rotated = eigs * np.exp(2j * np.pi / h)
-            assert hungarian_close(eigs, rotated, 1e-6 * max(1.0, np.abs(eigs).max()))
+            assert pairs_within(eigs, rotated, 1e-6 * max(1.0, np.abs(eigs).max()))
 
     def test_one_by_one_convention(self):
         res = imprimitivity_index(np.zeros((1, 1)))

@@ -17,7 +17,7 @@ from signspectra.signsym import TooManyCertificatesError, sign_constraint_graph
 from signspectra.wsets import find_transitive_w, w_candidates_from_graphs
 from signspectra.spectral import (
     Classification,
-    _assignment,
+    _pairs_every_row,
     Facts,
     Spectrum,
     classify,
@@ -32,7 +32,6 @@ from helpers import (
     count_calls,
     count_calls_by_dimension,
     cycle_matrix,
-    reference_match_complex_multisets,
 )
 from leaf_sweep import sweep
 
@@ -193,9 +192,6 @@ class TestMatchMultisets:
         ([1, 2], [2, complex(float("inf"), 0)]),
     ])
     def test_every_pairing_infinite(self, a, b):
-        # scipy calls these cost matrices infeasible.
-        with pytest.raises(ValueError, match="infeasible"):
-            reference_match_complex_multisets(a, b, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = match_complex_multisets(a, b, 1.0)
@@ -208,9 +204,6 @@ class TestMatchMultisets:
         ([0, 1, 2], [1, 2, complex(0, float("nan"))]),
     ])
     def test_nan_distance_raises(self, a, b):
-        # scipy raises on these cost matrices too.
-        with pytest.raises(ValueError, match="invalid numeric entries"):
-            reference_match_complex_multisets(a, b, 1.0)
         with pytest.raises(ValueError, match="distance is NaN"):
             match_complex_multisets(a, b, 1.0)
 
@@ -233,13 +226,8 @@ class TestMatchMultisets:
         cost = np.abs(a[:, None] - b[None, :])
         bottleneck = smallest_largest_distance(cost)
         res = match_complex_multisets(a, b, tol)
+        assert res.max_distance == bottleneck
         assert res.ok == (bottleneck <= tol)
-        if res.ok:
-            # max_distance is the largest distance of some pairing.
-            assert bottleneck <= res.max_distance <= tol
-            assert res.max_distance in cost
-        else:
-            assert res.max_distance > tol
 
     @given(
         st.integers(1, 20).flatmap(
@@ -251,54 +239,40 @@ class TestMatchMultisets:
     @example(([0, 0, -1.7e308], [0, 0, -1.7e308j]), 0.0)
     @example(([1, 0], [1, 2]), 1.5)
     @settings(max_examples=500, deadline=None)
-    def test_agrees_with_scipy_on_every_call(self, sets, tol):
+    def test_max_distance_is_the_bottleneck(self, sets, tol):
         a, b = sets
         res = match_complex_multisets(a, b, tol)
         with np.errstate(over="ignore"):
             cost = np.abs(np.subtract.outer(np.array(a, dtype=complex), np.array(b, dtype=complex)))
-        if (cost[np.isfinite(cost)] > 2.0**1000).any():
-            # scipy's path sums may overflow, so that it raises or returns a
-            # pairing that is not min-sum: check against every pairing.
-            bottleneck = smallest_largest_distance(cost)
-            assert res.ok == (bottleneck <= tol)
-            assert bottleneck <= res.max_distance and res.max_distance in cost
-            return
-        try:
-            expected = reference_match_complex_multisets(a, b, tol)
-        except ValueError:
-            # With finite sums scipy raises only when every pairing holds
-            # an infinite distance.
-            assert np.isinf(cost).any()
-            assert (res.ok, res.max_distance) == (False, float("inf"))
-        else:
-            assert (res.ok, res.max_distance) == (expected.ok, expected.max_distance)
+        bottleneck = smallest_largest_distance(cost)
+        assert (res.ok, res.max_distance) == (bottleneck <= tol, bottleneck)
 
-    @given(tie_heavy_costs())
-    @example(np.zeros((3, 3)))
-    @example(np.ones((77, 77), dtype=bool))
+    @given(tie_heavy_costs(), st.floats(0.0, 1.0))
+    @example(np.zeros((3, 3)), 0.0)
+    @example(np.ones((77, 77), dtype=bool), 0.0)
     @settings(max_examples=100, deadline=None)
-    def test_assignment_port_pairs_as_scipy(self, cost):
+    def test_pairs_every_row_as_scipy(self, cost, q):
+        # A pairing within the allowed entries exists when scipy's 0/1
+        # assignment of the forbidden ones costs 0.
         from scipy.optimize import linear_sum_assignment
 
-        rows, cols = _assignment(cost)
-        expected_rows, expected_cols = linear_sum_assignment(cost)
-        assert rows.tolist() == expected_rows.tolist()
-        assert cols.tolist() == expected_cols.tolist()
+        cost = cost.astype(float)
+        allowed = cost <= np.quantile(cost, q, method="lower")
+        forbidden = ~allowed
+        assert _pairs_every_row(allowed) == (not forbidden[linear_sum_assignment(forbidden)].any())
 
-    @pytest.mark.parametrize("n, scipy_calls", [(77, 0), (78, 2)])
-    def test_scipy_pairs_only_above_77_values(self, monkeypatch, n, scipy_calls):
-        # The n-cycle with one negative arc: each eigenvalue, an n-th root of
-        # -1, lies halfway between two n-th roots of 1, so the row rule fails
-        # and both the min-sum and the 0/1 pairing run.
+    @pytest.mark.parametrize("n", [78, 200])
+    def test_cycle_with_a_negative_arc(self, n):
+        # Each eigenvalue, an n-th root of -1, lies halfway between two n-th
+        # roots of 1, so the row rule fails and the bottleneck is bisected.
         a = cycle_matrix(n)
         a[0, 1] = -1.0
         values = eigenvalues(a).values
         targets = np.exp(2j * np.pi * np.arange(n) / n)
-        name = "scipy.optimize.linear_sum_assignment"
-        calls = count_calls(monkeypatch, name)
-        res = match_complex_multisets(values, targets, 1e-9)
-        assert calls == {name: scipy_calls}
-        assert res == reference_match_complex_multisets(values, targets, 1e-9)
+        bottleneck = smallest_largest_distance(np.abs(values[:, None] - targets[None, :]))
+        for tol, ok in [(1e-9, False), (bottleneck, True)]:
+            res = match_complex_multisets(values, targets, tol)
+            assert (res.ok, res.max_distance) == (ok, bottleneck)
 
 
 class TestPeripheralSpectrum:
@@ -473,10 +447,18 @@ class TestClassifyRouting:
     def test_t11_lists_the_arcs_of_a_and_of_its_compound_once(self, monkeypatch):
         # The sign graph, the pattern index and the Frobenius form of A read
         # one arc list, and the sign graph and pattern index of C2 another.
+        # Only float arrays count: the 8 peripheral values share nearest
+        # roots, so the matcher lists the arcs of a boolean 8 x 8 matrix.
         a = reducible_blocks([cycle_matrix(3), cycle_matrix(5)])
         shapes = []
         nonzero = np.nonzero
-        monkeypatch.setattr(np, "nonzero", lambda x: shapes.append(np.shape(x)) or nonzero(x))
+
+        def record(x):
+            if np.asarray(x).dtype == float:
+                shapes.append(np.shape(x))
+            return nonzero(x)
+
+        monkeypatch.setattr(np, "nonzero", record)
         names = ("frobenius_form", "_pattern_index", "sign_constraint_graph")
         calls = count_calls_by_dimension(monkeypatch, *names)
         assert classify(a).theorem == "T11"
