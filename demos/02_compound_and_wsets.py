@@ -5,8 +5,8 @@ pairs.  Its eigenvalues are exactly the pairwise products of eigenvalues
 of A, and the same law holds for every W-matrix, whichever orientation of
 the index pairs is chosen.  `verify_eigenvalue_products` certifies it with a
 backward-error residual from one Schur form of A, which it takes from
-numpy's eig and QR, and from scipy.linalg only when that form fails its
-gate or its certificate.
+numpy's eig and QR alone, deflating where eig's eigenvectors are nearly
+parallel.
 """
 
 import numpy as np

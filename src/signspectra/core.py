@@ -73,6 +73,12 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _frobenius_norm(m: np.ndarray) -> float:
+    """||m||_F scaled by the largest entry, so that squares cannot overflow."""
+    s = float(np.abs(m).max())
+    return s * float(np.linalg.norm(m / s)) if s > 0.0 else 0.0
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Lexicographic position (1-based) of the pair (i, j) among all i < j.
 

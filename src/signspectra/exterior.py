@@ -8,8 +8,7 @@ any W matrix are exactly the pairwise products of distinct eigenvalues of the
 base matrix.  `verify_eigenvalue_products` certifies this product law for
 the computed minors with a backward-error residual from one Schur form of
 the base matrix, in O(n^4), without an eigensolve of the C(n,2) x C(n,2) grid.
-The Schur form comes from numpy's eig and QR; scipy.linalg loads only for
-the few inputs where that form fails its gate or its certificate.
+That Schur form comes from numpy's eig and QR alone, by deflation.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _pair_table, as_matrix
+from .core import _frobenius_norm, _pair_table, as_matrix
 from .wsets import WSet, canonical_m
 
 __all__ = [
@@ -140,11 +139,12 @@ class EigenProductCheck:
     products: np.ndarray
 
 
-# The eig-and-QR Schur form is kept when the lower triangle that it drops is
-# at most _SCHUR_GATE n u ||A||_F.  That ratio, over the 3,576 inputs of
-# tests/test_exterior.acceptance_inputs(): median 0.94, 99th percentile 2.1,
-# largest below the gate 3.6, and 5 inputs above it (60 to 9,300), the
-# criterion-07 cycles with a defective zero eigenvalue.
+# The Schur form drops a lower triangle of at most _SCHUR_GATE n u ||A||_F.
+# Its first pass's ratio, over the 3,585 inputs of tests/test_exterior.py's
+# TestSchurFallback: median 0.94, 99th percentile 2.1, largest below the gate 3.6,
+# and 6 above it (4.02 to 9,300), tp2(12, seed=40500061) and five cycles with
+# a defective zero eigenvalue, which deflate in 2 passes to 0.65-3.9.  Seeded
+# conjugated Jordan blocks of up to 8, with n up to 24, take up to 14 passes.
 _SCHUR_GATE = 4.0
 
 
@@ -170,16 +170,11 @@ def verify_eigenvalue_products(a, w: WSet | None = None) -> EigenProductCheck:
     Raises ValueError when a minor overflows, as `compound2` does, or when
     ||A||_F^2 overflows.
 
-    Q and T come first from numpy: with V the eigenvectors of A and V = QR,
-    S = Q* A Q is upper triangular in exact arithmetic (Horn & Johnson,
-    Thm 2.3.1), and T = triu(S).  That form is kept only when S is finite
-    and its dropped lower triangle is within _SCHUR_GATE n u ||A||_F, a
-    Schur solver's backward error, so `tol` keeps its meaning.  When eig
-    fails, the gate does not hold or the certificate is not ok, the answer
-    is the certificate on scipy.linalg's complex Schur form, so the numpy
-    form can add an `ok` but never take one away.
+    Q and T come from `_schur_form`, whose dropped lower triangle stays
+    within _SCHUR_GATE n u ||A||_F, a Schur solver's backward error, so
+    `tol` keeps its meaning.  Raises ValueError when eig fails.
     """
-    from .spectral import Facts, _frobenius_norm
+    from .spectral import Facts
 
     facts = a if isinstance(a, Facts) else Facts(a)
     m, n = facts.matrix, facts.n
@@ -220,20 +215,37 @@ def verify_eigenvalue_products(a, w: WSet | None = None) -> EigenProductCheck:
             products = d[i0] * d[j0]
         return EigenProductCheck(bool(residual <= tol), tol, float(residual), products)
 
-    try:
-        v = np.linalg.eig(m)[1]
-    except np.linalg.LinAlgError:
-        v = None
-    if v is not None:
-        q_mat = np.linalg.qr(v.astype(complex))[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = q_mat.conj().T @ m @ q_mat
-        gate = _SCHUR_GATE * n * 2.0**-53 * norm
-        # _frobenius_norm reads a nan as 0, so finiteness is checked first.
-        if np.isfinite(s).all() and _frobenius_norm(np.tril(s, -1)) <= gate:
-            check = certify(np.triu(s), q_mat)
-            if check.ok:
-                return check
-    import scipy.linalg  # 0.25 s to import; loaded only on this fallback
+    return certify(*_schur_form(m, norm))
 
-    return certify(*scipy.linalg.schur(m, output="complex", check_finite=False))
+
+def _schur_form(m: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Q) with A = Q T Q* for `m`, of Frobenius norm `norm`, by deflation
+    (Horn & Johnson, Thm 2.3.1): with V = ZR the eigenvectors of the trailing
+    block B of S = Q* A Q, Z* B Z is triangular in exact arithmetic.  Each
+    pass keeps the leading columns whose lower triangle fits what is left of
+    the gate _SCHUR_GATE n u ||A||_F, at least one.  The first pass is on A in
+    eig's order; later passes order V by ||B v - lambda v||, so that the
+    columns kept first are the eigenvectors that eig got right."""
+    n = m.shape[0]
+    gate = _SCHUR_GATE * n * 2.0**-53
+    q = np.linalg.qr(np.linalg.eig(m)[1].astype(complex))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = q.conj().T @ m @ q
+        # _frobenius_norm reads a nan as 0, so finiteness is checked first.
+        if np.isfinite(s).all() and _frobenius_norm(np.tril(s, -1)) <= gate * norm:
+            return np.triu(s), q
+        budget, start = gate * gate, 0  # in units of ||A||_F^2, so no square overflows
+        while True:
+            dropped = np.cumsum((np.abs(np.tril(s[start:, start:], -1) / norm) ** 2).sum(axis=0))
+            kept = max(1, int(np.count_nonzero(dropped <= budget)))
+            budget -= dropped[kept - 1]
+            start += kept
+            if start >= n:
+                return np.triu(s), q
+            b = s[start:, start:]
+            values, v = np.linalg.eig(b)
+            order = np.argsort(np.linalg.norm(b @ v - v * values, axis=0), kind="stable")
+            z = np.linalg.qr(v[:, order])[0]
+            s[:, start:] = s[:, start:] @ z
+            s[start:] = z.conj().T @ s[start:]
+            q[:, start:] = q[:, start:] @ z

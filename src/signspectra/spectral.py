@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__, core
-from .core import Permutation, as_matrix, pair_count
+from .core import Permutation, _frobenius_norm, as_matrix, pair_count
 from .digraph import (
     FrobeniusForm,
     ImprimitivityIndex,
@@ -85,12 +85,6 @@ def eigenvalues(a) -> Spectrum:
     vals.setflags(write=False)
     bound = m.shape[0] * np.finfo(float).eps * _frobenius_norm(m)
     return Spectrum(vals, float(mods.max()), bound)
-
-
-def _frobenius_norm(m: np.ndarray) -> float:
-    """||m||_F scaled by the largest entry, so that squares cannot overflow."""
-    s = float(np.abs(m).max())
-    return s * float(np.linalg.norm(m / s)) if s > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -705,8 +699,6 @@ def counterexample_bundle(a, classification: Classification) -> dict:
     """Everything needed to reproduce a failed prediction: the matrix, the
     tolerances and library versions to replay it with, the routing facts,
     the spectrum, and each claim with its outcome."""
-    import scipy
-
     m = as_matrix(a)
     return {
         "matrix": [[float(v) for v in row] for row in m],
@@ -717,7 +709,6 @@ def counterexample_bundle(a, classification: Classification) -> dict:
         "versions": {
             "signspectra": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "theorem": classification.theorem,
         "verified": classification.verified,

@@ -1194,17 +1194,31 @@ class TestErrorsAndEnvironment:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "('NONE', True, None, None, None, None, 78, None, ()) None\n[]\n"
 
-    def test_verify_corpus_past_the_schur_gate_imports_only_scipy_linalg(self, tmp_path):
-        # cyclic_h(9, 5) has a defective zero eigenvalue whose eigenvectors
-        # numpy's eig returns nearly parallel, so the eig-and-QR Schur form
-        # fails its gate and the certificate falls back to scipy.linalg.  No
-        # other scipy subpackage loads.
+    def test_verify_corpus_past_the_schur_gate_runs_without_scipy(self, tmp_path):
+        # The cli-corpus inputs at benchmark seeds 132 and 405 whose first
+        # Schur pass fails its gate, and a criterion-07 cycle with a defective
+        # zero eigenvalue: their product law deflates, in an interpreter
+        # where importing scipy raises.
+        tp2 = {"kind": "tp2", "n": 12, "seed": 40500061}
+        specs = [
+            {"kind": "nonneg_irreducible", "n": 20, "density": 0.1, "seed": 13206121},
+            tp2,
+            {"kind": "scrambled", "seed": 40500061, "j_set": [1], "base": tp2},
+            {"kind": "cyclic_h", "n": 9, "h": 5, "seed": 95},
+        ]
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps([{"kind": "cyclic_h", "n": 9, "h": 5, "seed": 95}]))
-        loaded = self.modules_after(["verify-corpus", str(manifest)])
-        assert "scipy.linalg" in loaded
-        subpackages = {m.split(".")[1] for m in loaded if "." in m}
-        assert {p for p in subpackages if not p.startswith("_")} <= {"linalg", "version"}
+        manifest.write_text(json.dumps(specs))
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from signspectra.cli import main\n"
+            "sys.exit(main(['verify-corpus', sys.argv[1]]))\n"
+        )
+        proc = self.fresh_python(probe, str(manifest))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert [r["ok"] for r in report["results"]] == [True] * 4
+        assert report["failures"] == []
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("signspectra")

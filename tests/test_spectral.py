@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +14,12 @@ from signspectra.digraph import frobenius_form
 from signspectra.exterior import compound2
 from signspectra.signsym import TooManyCertificatesError, sign_constraint_graph
 from signspectra.wsets import find_transitive_w, w_candidates_from_graphs
+from signspectra import spectral
 from signspectra.spectral import (
     Classification,
     _pairs_every_row,
     Facts,
+    PeripheralGroup,
     Spectrum,
     classify,
     counterexample_bundle,
@@ -623,6 +624,49 @@ class TestVerdict:
                 assert not isinstance(leaf, float)
 
 
+def spectrum_of(values, rho) -> Spectrum:
+    """A Spectrum with `values` in the order given and radius `rho`."""
+    return Spectrum(np.asarray(values, dtype=complex), float(rho), 0.0)
+
+
+def group_of(values, rho) -> PeripheralGroup:
+    """A PeripheralGroup of `values` on the circle of radius `rho`."""
+    values = np.asarray(values, dtype=complex)
+    return PeripheralGroup(values.size, values, float(rho), 1e-6, None, False)
+
+
+# One input per claim builder that breaks its claim, by the name of the case.
+BROKEN_CLAIMS = {
+    "rho-not-an-eigenvalue": lambda: spectral._pred_rho_eigenvalue(spectrum_of([-2, 1], 2), 1e-6),
+    "rho-zero": lambda: spectral._pred_rho_eigenvalue(spectrum_of([0], 0), 1e-6),
+    "index-two-one-peripheral": lambda: spectral._pred_index_one(2, group_of([1], 1)),
+    "second-complex-strict": lambda: spectral._pred_second_real(
+        spectrum_of([1, 0.5 + 0.5j], 1), strict=True
+    ),
+    "second-complex-nonstrict": lambda: spectral._pred_second_real(
+        spectrum_of([1, 0.5 + 0.5j], 1), strict=False
+    ),
+    "second-negative-strict": lambda: spectral._pred_second_real(
+        spectrum_of([1, -0.5], 1), strict=True
+    ),
+    "second-on-the-circle": lambda: spectral._pred_second_below_rho(spectrum_of([1, -1], 1)),
+    "quarter-turns-not-cube-roots": lambda: spectral._pred_peripheral_roots(
+        group_of([2, 2j, -2], 2), 3, 1e-6
+    ),
+    "two-equal-peripheral-values": lambda: spectral._pred_peripheral_simple(group_of([1, 1], 1)),
+}
+
+
+class TestBrokenClaims:
+    """Every claim builder reports a claim that its input breaks as not
+    verified; routed inputs satisfy their theorem, so only these reach the
+    failing branches."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_CLAIMS))
+    def test_is_not_verified(self, name):
+        assert BROKEN_CLAIMS[name]().verified is False
+
+
 class TestCounterexampleBundle:
     def test_keys_and_json(self):
         a = np.ones((2, 2))
@@ -654,7 +698,6 @@ class TestCounterexampleBundle:
         assert bundle["versions"] == {
             "signspectra": signspectra.__version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         }
 
     def test_records_failures(self):
